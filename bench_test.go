@@ -60,6 +60,20 @@ func BenchmarkExpandTwoHops(b *testing.B) {
 	runBenchQuery(b, g, "MATCH (a:Person {name: 'person-17'})-[:KNOWS]->()-[:KNOWS]->(c) RETURN count(c) AS c", nil)
 }
 
+// BenchmarkInlineMapVsWhere runs one 1-hop count in its two spellings: the
+// paper's inline pattern map and the equivalent WHERE. Both plan through one
+// predicate path, so CI gates the inline spelling to within 1.5x of WHERE.
+func BenchmarkInlineMapVsWhere(b *testing.B) {
+	g := benchGraph(10000, 8)
+	params := map[string]any{"n": "person-17"}
+	b.Run("inline", func(b *testing.B) {
+		runBenchQuery(b, g, "MATCH (a:Person {name: $n})-[:KNOWS]->(b) RETURN count(b) AS c", params)
+	})
+	b.Run("where", func(b *testing.B) {
+		runBenchQuery(b, g, "MATCH (a:Person)-[:KNOWS]->(b) WHERE a.name = $n RETURN count(b) AS c", params)
+	})
+}
+
 // --- B2: variable-length expansion depth sweep ---
 
 func BenchmarkVarLengthExpand(b *testing.B) {

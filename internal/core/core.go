@@ -648,7 +648,7 @@ func (e *Engine) chosenParallelism(g *graph.Graph, pl *plan.Plan) int {
 			label = seek.Label
 		}
 		// The label cardinality bounds any seek; plans without estimates
-		// (hand-built, legacy) report that bound.
+		// (hand-built) report that bound.
 		n = stats.NodesByLabel[label]
 		if est, ok := pl.Est[s]; ok && int(est.Rows) < n {
 			n = int(est.Rows)

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/parser"
+	"repro/internal/refsem"
 	"repro/internal/value"
 )
 
@@ -242,4 +245,71 @@ func TestErrorCapablePredicatesKeepLegacyFilterPosition(t *testing.T) {
 	if !strings.Contains(res.Plan, "NodeIndexRangeSeek") {
 		t.Errorf("error-free conjuncts must keep seeking:\n%s", res.Plan)
 	}
+}
+
+// TestInlineMapSeeksOnlyBoundOperands pins the inline-map seek fix: an
+// inline value that reads a variable bound earlier in the walk, as in
+// `(b:Person {name: a.twin})`, is a conjunct like its WHERE twin, so it can
+// seek b only once a is bound. Before inline maps became conjuncts, the
+// planner seeked b on a.twin first whenever (Person, name) was indexed, and
+// the query failed with "unknown variable: a". Both spellings must agree
+// with each other and with the reference semantics, with and without the
+// index.
+func TestInlineMapSeeksOnlyBoundOperands(t *testing.T) {
+	g := graph.New()
+	const n = 30
+	people := make([]*graph.Node, n)
+	for i := range people {
+		props := map[string]value.Value{"name": value.NewString(fmt.Sprintf("p%02d", i))}
+		if i%3 != 0 {
+			props["twin"] = value.NewString(fmt.Sprintf("p%02d", (i+7)%n))
+		}
+		people[i] = g.CreateNode([]string{"Person"}, props)
+	}
+	for i := range people {
+		for _, d := range []int{1, 7, 11} {
+			if _, err := g.CreateRelationship(people[i], people[(i+d)%n], "KNOWS", nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	e := NewEngine(g, Options{})
+	spellings := []string{
+		"MATCH (a:Person)-[:KNOWS]->(b:Person {name: a.twin}) RETURN a.name AS a, b.name AS b",
+		"MATCH (a:Person)-[:KNOWS]->(b:Person) WHERE b.name = a.twin RETURN a.name AS a, b.name AS b",
+	}
+	check := func(stage string) {
+		t.Helper()
+		var first string
+		for i, q := range spellings {
+			res := run(t, e, q)
+			parsed, err := parser.Parse(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := refsem.Evaluate(parsed, e.Graph(), nil)
+			if err != nil {
+				t.Fatalf("refsem %q: %v", q, err)
+			}
+			res.Table.SortByAllColumns()
+			ref.SortByAllColumns()
+			got := res.Table.String()
+			if want := ref.String(); got != want {
+				t.Errorf("%s: %q disagrees with refsem\nplan:\n%s\ngot:\n%s\nwant:\n%s", stage, q, res.Plan, got, want)
+			}
+			if res.Len() != 20 {
+				t.Errorf("%s: %q returned %d rows, want one per person with a twin (20)", stage, q, res.Len())
+			}
+			if i == 0 {
+				first = got
+			} else if got != first {
+				t.Errorf("%s: spellings disagree\ninline:\n%s\nwhere:\n%s", stage, first, got)
+			}
+		}
+	}
+	check("no index")
+	if err := e.CreateIndex("Person", "name"); err != nil {
+		t.Fatal(err)
+	}
+	check("indexed")
 }

@@ -9,11 +9,9 @@ package exec
 //   - plans with an Aggregate combine morsel-local partial aggregation
 //     states in morsel order (so group order and order-sensitive aggregates
 //     like collect match the serial engine exactly);
-//   - plans whose tail contains a Sort or Distinct use an order-preserving
-//     merge (per-morsel buffers concatenated in morsel order), which makes
-//     ORDER BY output — including stable-sort tie-breaking — byte-identical
-//     to serial execution;
-//   - all other plans use a cheap unordered append under a mutex.
+//   - all other plans concatenate per-morsel row buffers in morsel order,
+//     so the merged stream — and ORDER BY output, including stable-sort
+//     tie-breaking — is byte-identical to serial execution.
 //
 // The operators above the merge point run serially over the merged stream.
 // Workers share the executor (its fields are read-only during execution) and
@@ -220,10 +218,6 @@ func (ex *Executor) executeParallel(p *plan.Plan) (tbl *result.Table, done bool,
 		agg  *aggState
 	}
 	outs := make([]morselOut, len(morsels))
-	var (
-		mergeMu   sync.Mutex
-		unordered []result.Record
-	)
 	errs := make([]error, workers)
 	var next atomic.Int64
 	var failed atomic.Bool
@@ -260,38 +254,23 @@ func (ex *Executor) executeParallel(p *plan.Plan) (tbl *result.Table, done bool,
 						top, err = buildChain(&nodeSource{varName: varName, nodes: morsels[i]}, info.Streaming)
 					}
 				}
-				if err == nil {
-					switch {
-					case info.Agg != nil:
-						st := ex.newAggState(info.Agg)
-						err = ex.run(top, nil, st.add)
-						outs[i].agg = st
-					case info.Ordered:
-						var buf []result.Record
-						err = ex.run(top, nil, func(r result.Record) error {
-							// Rows are borrowed from the worker's pipeline;
-							// the buffer outlives the emit, so copy (and
-							// charge the retained copy against the budget).
-							if err := ex.qc.ChargeRecord(r); err != nil {
-								return err
-							}
-							buf = append(buf, r.Clone())
-							return nil
-						})
-						outs[i].rows = buf
-					default:
-						var buf []result.Record
-						err = ex.run(top, nil, func(r result.Record) error {
-							if err := ex.qc.ChargeRecord(r); err != nil {
-								return err
-							}
-							buf = append(buf, r.Clone())
-							return nil
-						})
-						mergeMu.Lock()
-						unordered = append(unordered, buf...)
-						mergeMu.Unlock()
-					}
+				if err == nil && info.Agg != nil {
+					st := ex.newAggState(info.Agg)
+					err = ex.run(top, nil, st.add)
+					outs[i].agg = st
+				} else if err == nil {
+					var buf []result.Record
+					err = ex.run(top, nil, func(r result.Record) error {
+						// Rows are borrowed from the worker's pipeline; the
+						// buffer outlives the emit, so copy (and charge the
+						// retained copy against the budget).
+						if err := ex.qc.ChargeRecord(r); err != nil {
+							return err
+						}
+						buf = append(buf, r.Clone())
+						return nil
+					})
+					outs[i].rows = buf
 				}
 				if err != nil {
 					errs[w] = err
@@ -324,7 +303,7 @@ func (ex *Executor) executeParallel(p *plan.Plan) (tbl *result.Table, done bool,
 		}); err != nil {
 			return nil, true, err
 		}
-	case info.Ordered:
+	default:
 		total := 0
 		for i := range outs {
 			total += len(outs[i].rows)
@@ -333,8 +312,6 @@ func (ex *Executor) executeParallel(p *plan.Plan) (tbl *result.Table, done bool,
 		for i := range outs {
 			rows = append(rows, outs[i].rows...)
 		}
-	default:
-		rows = unordered
 	}
 
 	top, err := buildChain(&rowSource{rows: rows}, info.Rest)

@@ -29,15 +29,9 @@ type ParallelInfo struct {
 	// order matches the serial engine).
 	Agg *Aggregate
 	// Rest lists the operators above the merge point, in bottom-up order;
-	// they run serially over the merged stream.
+	// they run serially over the merged stream, which the executor joins in
+	// morsel order — the serial row order.
 	Rest []Operator
-	// Ordered reports whether the merge must preserve morsel order (the
-	// serial row order). It is set when Rest contains a Sort — so that
-	// stable-sort tie-breaking is byte-identical to serial execution — a
-	// Distinct, whose surviving representative row depends on input order,
-	// or an Aggregate, whose group order and collect() results do too.
-	// Otherwise the merge is a cheap unordered append.
-	Ordered bool
 }
 
 // serial returns a non-eligible analysis with the given fallback reason.
@@ -120,22 +114,11 @@ func AnalyzeParallelism(p *Plan) *ParallelInfo {
 		switch o := op.(type) {
 		case *Filter, *Expand, *Project, *Unwind, *ProjectPath, *Optional,
 			*SelectColumns, *AllNodesScan, *NodeByLabelScan, *NodeIndexSeek,
-			*NodeIndexRangeSeek, *NodeIndexPrefixSeek:
+			*NodeIndexRangeSeek, *NodeIndexPrefixSeek, *Distinct:
 			info.Rest = append(info.Rest, op)
-		case *Aggregate:
-			// An aggregate running serially above the merge is fed the
-			// merged stream directly, and collect()/first-seen group order
-			// are input-order-sensitive — require the ordered merge.
+		case *Aggregate, *Sort:
 			info.Rest = append(info.Rest, op)
-			info.Ordered = true
 			barrierBelow = true
-		case *Sort:
-			info.Rest = append(info.Rest, op)
-			info.Ordered = true
-			barrierBelow = true
-		case *Distinct:
-			info.Rest = append(info.Rest, op)
-			info.Ordered = true
 		case *Skip, *Limit:
 			if !barrierBelow {
 				return serial(o.Describe() + " depends on serial early exit")

@@ -31,9 +31,6 @@ func TestAnalyzeParallelismStreaming(t *testing.T) {
 		t.Errorf("decomposition wrong: %d streaming, agg=%v, %d rest",
 			len(info.Streaming), info.Agg, len(info.Rest))
 	}
-	if info.Ordered {
-		t.Errorf("pure streaming plan should use the unordered merge")
-	}
 }
 
 func TestAnalyzeParallelismAggregateAndSort(t *testing.T) {
@@ -53,9 +50,6 @@ func TestAnalyzeParallelismAggregateAndSort(t *testing.T) {
 	}
 	if info.Agg != agg {
 		t.Errorf("aggregate not captured for partial aggregation")
-	}
-	if !info.Ordered {
-		t.Errorf("a Sort above the barrier should force the ordered merge")
 	}
 	if len(info.Rest) != 4 { // Project, Sort, Limit, SelectColumns
 		t.Errorf("rest should hold the 4 serial tail operators, got %d", len(info.Rest))
@@ -79,8 +73,10 @@ func TestAnalyzeParallelismAggregateInRestForcesOrderedMerge(t *testing.T) {
 	if info.Agg != nil {
 		t.Errorf("aggregate behind a second scan must not use partial aggregation")
 	}
-	if !info.Ordered {
-		t.Errorf("an Aggregate in the serial tail must force the ordered merge (collect/group order are input-order-sensitive)")
+	// Every merge joins morsels in order, so the serial aggregate sees the
+	// serial row order (collect/group order are input-order-sensitive).
+	if len(info.Rest) != 2 || info.Rest[0] != scan2 || info.Rest[1] != agg {
+		t.Errorf("the second scan and the aggregate should run serially above the merge, got %d rest operators", len(info.Rest))
 	}
 }
 

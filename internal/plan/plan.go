@@ -87,16 +87,12 @@ func (p *Plan) String() string {
 	}
 	if p.Parallel != nil {
 		if p.Parallel.Safe {
-			merge := "unordered merge"
-			if p.Parallel.Ordered {
-				merge = "ordered merge"
-			}
 			agg := ""
 			if p.Parallel.Agg != nil {
 				agg = ", partial aggregation"
 			}
-			fmt.Fprintf(&sb, "parallel: eligible (morsel-driven %s, %s%s)\n",
-				p.Parallel.Scan.Describe(), merge, agg)
+			fmt.Fprintf(&sb, "parallel: eligible (morsel-driven %s%s)\n",
+				p.Parallel.Scan.Describe(), agg)
 		} else {
 			fmt.Fprintf(&sb, "parallel: serial (%s)\n", p.Parallel.Reason)
 		}

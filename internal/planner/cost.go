@@ -81,12 +81,8 @@ type accessPath struct {
 	value        ast.Expr
 	lo, hi       ast.Expr
 	loInc, hiInc bool
-	// coveredProp is the inline pattern property guaranteed by an equality
-	// seek (excluded from the residual predicate); conjunct-derived seeks
-	// leave it empty and mark their conjuncts used instead.
-	coveredProp string
-	conjs       []*conjunct
-	est         float64
+	conjs        []*conjunct
+	est          float64
 }
 
 // build constructs the scan/seek operator for the path.
@@ -108,7 +104,7 @@ func (ap accessPath) build(input plan.Operator, varName string) plan.Operator {
 	}
 }
 
-// consume marks the WHERE conjuncts the path covers as used, so they are not
+// consume marks the conjuncts the path covers as used, so they are not
 // re-applied as filters.
 func (ap accessPath) consume() {
 	for _, c := range ap.conjs {
@@ -126,9 +122,9 @@ func (ap accessPath) coveredLabel() string {
 }
 
 // bestAccess selects the cheapest access path for an unbound node pattern,
-// considering the label statistics, the available property indexes, the
-// pattern's inline properties and the WHERE conjuncts that compare a property
-// of this variable against an expression already evaluable (all its
+// considering the label statistics, the available property indexes and the
+// conjuncts (inline map entries and WHERE terms alike) that compare a
+// property of this variable against an expression already evaluable (all its
 // variables bound before this pattern). It does not mutate the conjunct set;
 // the caller consumes the winner's conjuncts when it actually builds the
 // operator.
@@ -149,16 +145,7 @@ func (p *Planner) bestAccess(np ast.NodePattern, bound *scope, cs *conjunctSet) 
 		}
 	}
 	for _, l := range np.Labels {
-		// Inline equality properties, e.g. (n:Person {name: $x}).
-		if np.Properties != nil {
-			for i, k := range np.Properties.Keys {
-				if is, ok := p.stats.Index(l, k); ok {
-					consider(accessPath{kind: accessEqSeek, label: l, property: k,
-						value: np.Properties.Values[i], coveredProp: k, est: is.RowsPerKey()})
-				}
-			}
-		}
-		// WHERE conjuncts on this variable. Range bounds on the same indexed
+		// Conjuncts on this variable. Range bounds on the same indexed
 		// property combine into one seek; every other shape stands alone.
 		type rangeBounds struct {
 			lo, hi       *conjunct
@@ -166,47 +153,45 @@ func (p *Planner) bestAccess(np ast.NodePattern, bound *scope, cs *conjunctSet) 
 			loInc, hiInc bool
 		}
 		ranges := map[string]*rangeBounds{}
-		if cs != nil {
-			for _, c := range cs.items {
-				if c.used {
-					continue
+		for _, c := range cs.items {
+			if c.used {
+				continue
+			}
+			prop, op, rhs, ok := propComparison(c.expr, np.Variable, bound)
+			if !ok {
+				continue
+			}
+			is, ok := p.stats.Index(l, prop)
+			if !ok {
+				continue
+			}
+			switch op {
+			case ast.OpEq:
+				consider(accessPath{kind: accessEqSeek, label: l, property: prop,
+					value: rhs, conjs: []*conjunct{c}, est: is.RowsPerKey()})
+			case ast.OpIn:
+				consider(accessPath{kind: accessInSeek, label: l, property: prop,
+					value: rhs, conjs: []*conjunct{c}, est: inSeekEst(rhs, is)})
+			case ast.OpStartsWith:
+				consider(accessPath{kind: accessPrefixSeek, label: l, property: prop,
+					value: rhs, conjs: []*conjunct{c}, est: math.Max(1, selPrefix*float64(is.Entries))})
+			case ast.OpGt, ast.OpGe:
+				rb := ranges[prop]
+				if rb == nil {
+					rb = &rangeBounds{}
+					ranges[prop] = rb
 				}
-				prop, op, rhs, ok := propComparison(c.expr, np.Variable, bound)
-				if !ok {
-					continue
+				if rb.lo == nil {
+					rb.lo, rb.loE, rb.loInc = c, rhs, op == ast.OpGe
 				}
-				is, ok := p.stats.Index(l, prop)
-				if !ok {
-					continue
+			case ast.OpLt, ast.OpLe:
+				rb := ranges[prop]
+				if rb == nil {
+					rb = &rangeBounds{}
+					ranges[prop] = rb
 				}
-				switch op {
-				case ast.OpEq:
-					consider(accessPath{kind: accessEqSeek, label: l, property: prop,
-						value: rhs, conjs: []*conjunct{c}, est: is.RowsPerKey()})
-				case ast.OpIn:
-					consider(accessPath{kind: accessInSeek, label: l, property: prop,
-						value: rhs, conjs: []*conjunct{c}, est: inSeekEst(rhs, is)})
-				case ast.OpStartsWith:
-					consider(accessPath{kind: accessPrefixSeek, label: l, property: prop,
-						value: rhs, conjs: []*conjunct{c}, est: math.Max(1, selPrefix*float64(is.Entries))})
-				case ast.OpGt, ast.OpGe:
-					rb := ranges[prop]
-					if rb == nil {
-						rb = &rangeBounds{}
-						ranges[prop] = rb
-					}
-					if rb.lo == nil {
-						rb.lo, rb.loE, rb.loInc = c, rhs, op == ast.OpGe
-					}
-				case ast.OpLt, ast.OpLe:
-					rb := ranges[prop]
-					if rb == nil {
-						rb = &rangeBounds{}
-						ranges[prop] = rb
-					}
-					if rb.hi == nil {
-						rb.hi, rb.hiE, rb.hiInc = c, rhs, op == ast.OpLe
-					}
+				if rb.hi == nil {
+					rb.hi, rb.hiE, rb.hiInc = c, rhs, op == ast.OpLe
 				}
 			}
 		}
@@ -300,36 +285,50 @@ func propComparison(e ast.Expr, varName string, bound *scope) (prop string, op a
 	return "", 0, nil, false
 }
 
-// --- WHERE conjuncts ---
+// --- Conjuncts ---
 
-// conjunct is one AND-term of a MATCH clause's WHERE expression.
+// conjunct is one AND-term of a MATCH clause's predicates: an inline
+// property-map entry or a WHERE conjunct.
 type conjunct struct {
 	expr ast.Expr
 	vars []string
 	used bool
 }
 
-// conjunctSet tracks the conjuncts of one WHERE clause through pattern
+// conjunctSet tracks the conjuncts of one MATCH clause through pattern
 // planning: access-path selection consumes some, predicate pushdown attaches
 // the rest as Filter operators at the earliest point their variables are all
-// bound.
+// bound. where holds a WHERE that could not be split; it is attached whole,
+// after everything else.
 type conjunctSet struct {
 	items []*conjunct
+	where ast.Expr
 }
 
-// newConjunctSet splits the WHERE expression on top-level ANDs. Under
-// ternary logic `a AND b` is true exactly when both a and b are true, so
-// applying the conjuncts as separate filters (in any order, at any point
-// where their variables are bound) is equivalent to one combined filter —
-// PROVIDED evaluation cannot raise a runtime error. Pushdown evaluates
-// predicates on a superset of the rows the single post-pattern filter would
-// see (rows a later expansion eliminates, or the unit row when the pattern
-// matches nothing), so an error-capable expression like `1/0 = 1` could
-// abort queries that used to succeed. newConjunctSet therefore returns nil —
-// falling back to the legacy whole-WHERE filter in its legacy position —
-// unless every conjunct passes pushSafe.
-func newConjunctSet(where ast.Expr) *conjunctSet {
+// newConjunctSet collects the inline-map conjuncts and splits the WHERE
+// expression on top-level ANDs. Under ternary logic `a AND b` is true
+// exactly when both a and b are true, so applying the conjuncts as separate
+// filters (in any order, at any point where their variables are bound) is
+// equivalent to one combined filter — PROVIDED evaluation cannot raise a
+// runtime error. Pushdown evaluates predicates on a superset of the rows the
+// single post-pattern filter would see (rows a later expansion eliminates, or
+// the unit row when the pattern matches nothing), so an error-capable
+// expression like `1/0 = 1` could abort queries that used to succeed. The
+// WHERE is therefore kept whole, as one filter after the pattern, unless
+// every conjunct passes pushSafe. Inline conjuncts are always pushed: the
+// pattern itself evaluates them at their node.
+func newConjunctSet(inline []ast.Expr, where ast.Expr) *conjunctSet {
 	cs := &conjunctSet{}
+	add := func(e ast.Expr) {
+		cs.items = append(cs.items, &conjunct{expr: e, vars: eval.Variables(e)})
+	}
+	for _, e := range inline {
+		add(e)
+	}
+	if where == nil {
+		return cs
+	}
+	var terms []ast.Expr
 	var split func(e ast.Expr)
 	split = func(e ast.Expr) {
 		if b, ok := e.(*ast.BinaryOp); ok && b.Op == ast.OpAnd {
@@ -337,20 +336,24 @@ func newConjunctSet(where ast.Expr) *conjunctSet {
 			split(b.RHS)
 			return
 		}
-		cs.items = append(cs.items, &conjunct{expr: e, vars: eval.Variables(e)})
+		terms = append(terms, e)
 	}
 	split(where)
-	for _, c := range cs.items {
-		if !pushSafe(c.expr) {
-			return nil
+	for _, e := range terms {
+		if !pushSafe(e) {
+			cs.where = where
+			return cs
 		}
+	}
+	for _, e := range terms {
+		add(e)
 	}
 	return cs
 }
 
 // pushSafe conservatively recognises expressions whose evaluation cannot
 // raise a runtime error, so evaluating them earlier (on more rows) than the
-// legacy post-pattern filter is observationally equivalent: comparisons and
+// single post-pattern filter is observationally equivalent: comparisons and
 // string predicates are ternary-total, boolean connectives and label checks
 // never error, and literals/parameters/variables are plain lookups.
 // Arithmetic (division by zero), regex matches (bad patterns), function
@@ -398,24 +401,21 @@ func pushSafe(e ast.Expr) bool {
 	}
 }
 
+// ready reports whether every variable of the conjunct is bound.
+func (c *conjunct) ready(bound func(string) bool) bool {
+	for _, v := range c.vars {
+		if !bound(v) {
+			return false
+		}
+	}
+	return true
+}
+
 // attachReady wraps op in a Filter for every unused conjunct whose variables
 // are all bound, in original conjunct order, marking them used.
 func (cs *conjunctSet) attachReady(op plan.Operator, bound *scope) plan.Operator {
-	if cs == nil {
-		return op
-	}
 	for _, c := range cs.items {
-		if c.used {
-			continue
-		}
-		ready := true
-		for _, v := range c.vars {
-			if !bound.has(v) {
-				ready = false
-				break
-			}
-		}
-		if ready {
+		if !c.used && c.ready(bound.has) {
 			c.used = true
 			op = &plan.Filter{Input: op, Predicate: c.expr}
 		}
@@ -423,14 +423,18 @@ func (cs *conjunctSet) attachReady(op plan.Operator, bound *scope) plan.Operator
 	return op
 }
 
-// attachRemaining appends every still-unused conjunct as a Filter (the
-// variables have been checked against the final scope by the caller).
+// attachRemaining appends every still-unused conjunct, then the unsplit
+// WHERE if there is one, as Filters (the WHERE's variables have been checked
+// against the final scope by the caller).
 func (cs *conjunctSet) attachRemaining(op plan.Operator) plan.Operator {
 	for _, c := range cs.items {
 		if !c.used {
 			c.used = true
 			op = &plan.Filter{Input: op, Predicate: c.expr}
 		}
+	}
+	if cs.where != nil {
+		op = &plan.Filter{Input: op, Predicate: cs.where}
 	}
 	return op
 }
@@ -460,29 +464,70 @@ func (p *Planner) labelsSelectivity(labels []string) float64 {
 	return sel
 }
 
+// conjunctSelectivity estimates the fraction of rows a predicate keeps. It
+// is the one selectivity function of the planner: partCost applies it to
+// each conjunct where attachReady would attach it, and annotatePlan to each
+// Filter, so EXPLAIN shows the numbers the planner compared.
+func (p *Planner) conjunctSelectivity(e ast.Expr) float64 {
+	switch x := e.(type) {
+	case *ast.HasLabels:
+		return p.labelsSelectivity(x.Labels)
+	case *ast.BinaryOp:
+		switch x.Op {
+		case ast.OpAnd:
+			return p.conjunctSelectivity(x.LHS) * p.conjunctSelectivity(x.RHS)
+		case ast.OpEq:
+			return selEqProp
+		case ast.OpIn:
+			k := float64(defaultInListSize)
+			if ll, ok := x.RHS.(*ast.ListLiteral); ok {
+				k = float64(len(ll.Elems))
+			}
+			return math.Min(1, k*selEqProp)
+		case ast.OpLt, ast.OpLe, ast.OpGt, ast.OpGe:
+			return selHalfRange
+		case ast.OpStartsWith:
+			return selPrefix
+		}
+	}
+	return selFilter
+}
+
 // partCost estimates the rows touched when solving the path pattern starting
 // from node index start: the start node's access-path cardinality, then the
 // fan-out of every expansion to the right and to the left — exactly the walk
 // planPart performs. Expansions into an already-bound endpoint are costed as
-// a probe (ExpandInto).
+// a probe (ExpandInto). After each operator, the conjuncts attachReady would
+// attach there shrink the rows that flow on by their conjunctSelectivity;
+// the operator itself is costed at the rows it produces before filtering.
 func (p *Planner) partCost(part ast.PatternPart, start int, bound *scope, cs *conjunctSet) float64 {
 	n := math.Max(1, float64(p.stats.NodeCount))
-	// seen tracks node variables bound within this walk. partCost runs on
-	// the source pattern, before nameAnonymous, so anonymous nodes still
-	// carry the empty name — they are always distinct fresh bindings and
-	// must never be mistaken for one another (or for a bound variable).
+	// seen tracks the variables bound within this walk, applied the
+	// conjuncts already accounted for (by the access path or a filter).
 	seen := map[string]bool{}
-	np := part.Nodes[start]
-	var rows float64
-	if np.Variable != "" && bound.has(np.Variable) {
-		rows = 1
-	} else {
-		rows = p.bestAccess(np, bound, cs).est
+	has := func(v string) bool { return bound.has(v) || seen[v] }
+	applied := map[*conjunct]bool{}
+	filter := func(rows float64) float64 {
+		for _, c := range cs.items {
+			if !c.used && !applied[c] && c.ready(has) {
+				applied[c] = true
+				rows *= p.conjunctSelectivity(c.expr)
+			}
+		}
+		return rows
 	}
-	if np.Variable != "" {
+	np := part.Nodes[start]
+	rows := 1.0
+	if !bound.has(np.Variable) {
+		ap := p.bestAccess(np, bound, cs)
+		rows = ap.est
+		for _, c := range ap.conjs {
+			applied[c] = true
+		}
 		seen[np.Variable] = true
 	}
 	cost := rows
+	rows = filter(rows)
 	step := func(i int, reversed bool) {
 		rp := part.Rels[i]
 		toNP := part.Nodes[i+1]
@@ -500,21 +545,17 @@ func (p *Planner) partCost(part ast.PatternPart, start int, bound *scope, cs *co
 		if rp.VarLength {
 			deg *= varLengthFudge
 		}
-		if toNP.Variable != "" && (bound.has(toNP.Variable) || seen[toNP.Variable]) {
+		seen[rp.Variable] = true
+		if has(toNP.Variable) {
 			// ExpandInto: one adjacency probe per row, few survivors.
 			cost += rows
 			rows = rows * deg / n
-			return
-		}
-		if toNP.Variable != "" {
+		} else {
 			seen[toNP.Variable] = true
+			rows *= deg * p.labelsSelectivity(toNP.Labels)
+			cost += rows
 		}
-		rows *= deg
-		rows *= p.labelsSelectivity(toNP.Labels)
-		if toNP.Properties != nil {
-			rows *= math.Pow(selEqProp, float64(len(toNP.Properties.Keys)))
-		}
-		cost += rows
+		rows = filter(rows)
 	}
 	for i := start; i < len(part.Rels); i++ {
 		step(i, false)
@@ -600,7 +641,7 @@ func (p *Planner) annotatePlan(pl *plan.Plan) {
 			return record(op, rows, c+rows)
 		case *plan.Filter:
 			in, c := walk(o.Input)
-			return record(op, in*selFilter, c+in)
+			return record(op, in*p.conjunctSelectivity(o.Predicate), c+in)
 		case *plan.Optional:
 			in, c := walk(o.Input)
 			innerRows, innerCost := walk(o.Inner)

@@ -8,15 +8,17 @@ import (
 	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/parser"
+	"repro/internal/refsem"
 	"repro/internal/result"
 	"repro/internal/value"
 )
 
 // planChoiceCorpus exercises every plan shape the cost-based planner can
-// choose differently from the legacy heuristic planner: WHERE-conjunct
-// pushdown, equality/IN/range/prefix index seeks, label predicates in WHERE,
-// cost-ordered cartesian parts, ExpandInto cycles, OPTIONAL MATCH with
-// pushdown inside the optional side, and parameterised bounds.
+// choose: conjunct pushdown, equality/IN/range/prefix index seeks, label
+// predicates in WHERE, cost-ordered cartesian parts, ExpandInto cycles,
+// OPTIONAL MATCH with pushdown inside the optional side, and parameterised
+// bounds. Each equality WHERE also appears in its inline-map spelling, which
+// plans through the same conjunct path.
 var planChoiceCorpus = []struct {
 	query  string
 	params map[string]value.Value
@@ -38,6 +40,21 @@ var planChoiceCorpus = []struct {
 	{query: "MATCH (n:Person) WHERE n.age > 42 RETURN n.name AS name ORDER BY name LIMIT 5"},
 	{query: "MATCH (n:Person) WHERE n.age = null RETURN count(n) AS c"},
 	{query: "MATCH (n:Person) WHERE n.age > $missing RETURN count(n) AS c", params: map[string]value.Value{"missing": value.Null()}},
+	// Inline-map spellings of the equality WHEREs above, and the WHERE
+	// spelling of the inline ExpandInto query.
+	{query: "MATCH (n:Person {name: 'p07'}) RETURN n.age AS age"},
+	{query: "MATCH (n:Person {age: 5}) RETURN n.name AS name"},
+	{query: "MATCH (a:Person {age: 1}), (b:Person) WHERE b.age < 3 RETURN a.name AS a, b.name AS b"},
+	{query: "MATCH (n:Person {age: null}) RETURN count(n) AS c"},
+	{query: "MATCH (n:Person {age: $missing}) RETURN count(n) AS c", params: map[string]value.Value{"missing": value.Null()}},
+	{query: "MATCH (a:Person)-[:WORKS_AT]->(c)<-[:WORKS_AT]-(b:Person) WHERE a.age = 1 AND b.age = 11 RETURN count(c) AS c"},
+	{query: "MATCH (p:Person) OPTIONAL MATCH (p)-[:WORKS_AT]->(c:Company {cid: 5}) RETURN p.name AS name, c.cid AS cid"},
+	// An inline value that reads a variable bound earlier in the walk: the
+	// map must not seek before that variable is bound.
+	{query: "MATCH (p:Person)-[:WORKS_AT]->(c:Company {cid: p.age}) RETURN p.name AS name"},
+	{query: "MATCH (p:Person)-[:WORKS_AT]->(c:Company) WHERE c.cid = p.age RETURN p.name AS name"},
+	{query: "MATCH (a:Person)-[:WORKS_AT]->(c)<-[:WORKS_AT]-(b:Person {name: a.name}) RETURN count(*) AS c"},
+	{query: "MATCH (a:Person)-[:WORKS_AT]->(c)<-[:WORKS_AT]-(b:Person) WHERE b.name = a.name RETURN count(*) AS c"},
 }
 
 // diffGraph is an indexed dataset where seeks and scans genuinely diverge in
@@ -69,33 +86,28 @@ func canonical(t *result.Table) string {
 	return t.String()
 }
 
-// TestDifferentialCostVsLegacyPlans proves plan choice is invisible to
-// results: every corpus query, compiled by the cost-based planner and by the
-// legacy heuristic planner and executed on the same engine, returns
-// byte-identical canonicalised result tables.
-func TestDifferentialCostVsLegacyPlans(t *testing.T) {
+// TestDifferentialCostPlansVsRefsem proves plan choice is invisible to
+// results: every corpus query, compiled by the cost-based planner and
+// executed by the engine, returns the same canonicalised result table as the
+// paper's reference semantics (internal/refsem), which matches patterns by
+// naive enumeration without any planning.
+func TestDifferentialCostPlansVsRefsem(t *testing.T) {
 	graphs := []struct {
 		name  string
 		build func() *graph.Graph
-		// corpusOnly restricts which queries run (the generic datasets lack
-		// the Person/Company schema of the main corpus).
-		queries []struct {
-			query  string
-			params map[string]value.Value
-		}
 	}{
-		{name: "indexed", build: diffGraph, queries: planChoiceCorpus},
-		{name: "teachers", build: func() *graph.Graph { g, _ := datasets.Teachers(); return g }, queries: planChoiceCorpus},
+		{name: "indexed", build: diffGraph},
+		{name: "teachers", build: func() *graph.Graph { g, _ := datasets.Teachers(); return g }},
 		{name: "social", build: func() *graph.Graph {
 			g := datasets.SocialNetwork(datasets.SocialConfig{People: 20, FriendsEach: 3, Seed: 7})
 			g.CreateIndex("Person", "name")
 			return g
-		}, queries: planChoiceCorpus},
+		}},
 	}
 	for _, gc := range graphs {
 		t.Run(gc.name, func(t *testing.T) {
 			g := gc.build()
-			for _, c := range gc.queries {
+			for _, c := range planChoiceCorpus {
 				q, err := parser.Parse(c.query)
 				if err != nil {
 					t.Fatalf("parse %q: %v", c.query, err)
@@ -104,22 +116,18 @@ func TestDifferentialCostVsLegacyPlans(t *testing.T) {
 				if err != nil {
 					t.Fatalf("cost plan %q: %v", c.query, err)
 				}
-				legacyPlan, err := NewWithOptions(g, Options{Legacy: true}).Plan(q)
-				if err != nil {
-					t.Fatalf("legacy plan %q: %v", c.query, err)
-				}
 				costTbl, err := exec.New(g, c.params, exec.Options{}).Execute(costPlan)
 				if err != nil {
-					t.Fatalf("cost exec %q: %v", c.query, err)
+					t.Fatalf("cost exec %q: %v\nplan:\n%s", c.query, err, costPlan)
 				}
-				legacyTbl, err := exec.New(g, c.params, exec.Options{}).Execute(legacyPlan)
+				refTbl, err := refsem.Evaluate(q, g, c.params)
 				if err != nil {
-					t.Fatalf("legacy exec %q: %v", c.query, err)
+					t.Fatalf("refsem %q: %v", c.query, err)
 				}
-				got, want := canonical(costTbl), canonical(legacyTbl)
+				got, want := canonical(costTbl), canonical(refTbl)
 				if got != want {
-					t.Errorf("plans disagree on %q\ncost plan:\n%s\nlegacy plan:\n%s\ncost result:\n%s\nlegacy result:\n%s",
-						c.query, costPlan, legacyPlan, got, want)
+					t.Errorf("cost plan disagrees with refsem on %q\ncost plan:\n%s\ncost result:\n%s\nrefsem result:\n%s",
+						c.query, costPlan, got, want)
 				}
 			}
 		})

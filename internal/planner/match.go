@@ -18,87 +18,83 @@ type matchContext struct {
 
 // planMatch compiles a MATCH or OPTIONAL MATCH clause.
 //
-// In the default cost-based mode the WHERE expression is split into its
-// AND-conjuncts, which participate in planning three ways before anything is
+// Every node's inline property map is rewritten into `v.k = e` conjuncts
+// (see inlinePredicates) and the WHERE expression is split into its
+// AND-conjuncts. All of them take one predicate path before anything is
 // left to a plain post-pattern filter:
 //
-//   - `n:Label` conjuncts merge into the pattern's node labels, so they join
-//     label-scan selection instead of always filtering after the scan;
+//   - `n:Label` WHERE conjuncts merge into the pattern's node labels, so they
+//     join label-scan selection instead of always filtering after the scan;
 //   - property comparisons against already-evaluable expressions feed the
 //     access-path choice (equality, IN, range and prefix index seeks);
 //   - everything else is pushed down to the earliest operator at which all
-//     of its variables are bound.
+//     of its variables are bound, and shrinks the cost model's row estimate
+//     there.
 //
-// Legacy mode keeps the original behaviour: the whole WHERE becomes one
-// Filter above the fully planned pattern.
+// A WHERE with an error-capable conjunct stays one Filter above the pattern
+// (see newConjunctSet); the inline conjuncts are still pushed.
+//
+// OPTIONAL MATCH plans the pattern (and its WHERE, per Figure 7) over an
+// Argument that is evaluated per driving row; rows without any match get
+// null bindings for the variables the pattern introduces.
 func (p *Planner) planMatch(input plan.Operator, m *ast.Match, sc *scope) (plan.Operator, error) {
-	if !m.Optional {
-		var cs *conjunctSet
-		pattern := m.Pattern
-		if !p.opts.Legacy && m.Where != nil {
-			// cs stays nil (legacy whole-WHERE filter) when any conjunct
-			// could raise a runtime error; see newConjunctSet.
-			if cs = newConjunctSet(m.Where); cs != nil {
-				pattern = p.mergeLabelPredicates(pattern, cs, sc)
-			}
-		}
-		op, newVars, err := p.planPatternTuple(input, pattern, sc, cs)
-		if err != nil {
-			return nil, err
-		}
-		for _, v := range newVars {
-			sc.add(v)
-		}
-		if m.Where != nil {
-			if err := p.checkVariables(m.Where, sc); err != nil {
-				return nil, err
-			}
-			if cs == nil {
-				op = &plan.Filter{Input: op, Predicate: m.Where}
-			} else {
-				op = cs.attachRemaining(op)
-			}
-		}
-		return op, nil
+	inner, innerScope := input, sc
+	if m.Optional {
+		inner, innerScope = &plan.Argument{}, sc.clone()
 	}
-
-	// OPTIONAL MATCH: the pattern (and its WHERE, per Figure 7) is evaluated
-	// per driving row; rows without any match get null bindings for the
-	// variables the pattern introduces. Conjunct pushdown happens inside the
-	// inner plan, which is exactly where the WHERE applies.
-	innerScope := sc.clone()
-	var cs *conjunctSet
-	pattern := m.Pattern
-	if !p.opts.Legacy && m.Where != nil {
-		if cs = newConjunctSet(m.Where); cs != nil {
-			pattern = p.mergeLabelPredicates(pattern, cs, innerScope)
-		}
-	}
-	inner, newVars, err := p.planPatternTuple(&plan.Argument{}, pattern, innerScope, cs)
+	pattern, inline := p.inlinePredicates(m.Pattern)
+	cs := newConjunctSet(inline, m.Where)
+	p.mergeLabelPredicates(pattern, cs, innerScope)
+	op, bound, err := p.planPatternTuple(inner, pattern, innerScope, cs)
 	if err != nil {
 		return nil, err
 	}
+	newVars := introducedVars(m.Pattern, innerScope, bound)
 	for _, v := range newVars {
 		innerScope.add(v)
 	}
-	if m.Where != nil {
-		if err := p.checkVariables(m.Where, innerScope); err != nil {
-			return nil, err
-		}
-		if cs == nil {
-			inner = &plan.Filter{Input: inner, Predicate: m.Where}
-		} else {
-			inner = cs.attachRemaining(inner)
-		}
+	if err := p.checkVariables(m.Where, innerScope); err != nil {
+		return nil, err
 	}
-	var introduced []string
+	op = cs.attachRemaining(op)
+	if !m.Optional {
+		return op, nil
+	}
 	for _, v := range newVars {
-		if !sc.has(v) {
-			introduced = append(introduced, v)
-			sc.add(v)
-		}
+		sc.add(v)
 	}
-	return &plan.Optional{Input: input, Inner: inner, IntroducedVars: introduced}, nil
+	return &plan.Optional{Input: input, Inner: op, IntroducedVars: newVars}, nil
+}
+
+// inlinePredicates returns a copy of the pattern in which every anonymous
+// node and relationship has a unique internal name and no node carries an
+// inline property map, plus the `v.k = e` conjuncts those maps stood for, in
+// pattern order. The paper defines a node pattern's map as a constraint on
+// the node's properties, so `(a:L {k: e})` and `(a:L) WHERE a.k = e` plan
+// identically. Labels stay on the pattern, and relationship maps stay on
+// Expand, which checks them per traversed relationship.
+func (p *Planner) inlinePredicates(pattern ast.Pattern) (ast.Pattern, []ast.Expr) {
+	out := ast.Pattern{Parts: make([]ast.PatternPart, len(pattern.Parts))}
+	var preds []ast.Expr
+	for i, part := range pattern.Parts {
+		named := p.nameAnonymous(part)
+		for j := range named.Nodes {
+			np := &named.Nodes[j]
+			if np.Properties == nil {
+				continue
+			}
+			for k, key := range np.Properties.Keys {
+				preds = append(preds, &ast.BinaryOp{
+					Op:  ast.OpEq,
+					LHS: &ast.PropertyAccess{Subject: &ast.Variable{Name: np.Variable}, Key: key},
+					RHS: np.Properties.Values[k],
+				})
+			}
+			np.Properties = nil
+		}
+		out.Parts[i] = named
+	}
+	return out, preds
 }
 
 // mergeLabelPredicates folds `WHERE v:Label` conjuncts into the pattern when
@@ -106,7 +102,7 @@ func (p *Planner) planMatch(input plan.Operator, m *ast.Match, sc *scope) (plan.
 // gains nothing from merging: its scan has happened). The labels join every
 // occurrence of the variable, so the first occurrence's scan selection sees
 // them and later occurrences enforce them like inline labels.
-func (p *Planner) mergeLabelPredicates(pattern ast.Pattern, cs *conjunctSet, sc *scope) ast.Pattern {
+func (p *Planner) mergeLabelPredicates(pattern ast.Pattern, cs *conjunctSet, sc *scope) {
 	merged := map[string][]string{}
 	for _, c := range cs.items {
 		hl, ok := c.expr.(*ast.HasLabels)
@@ -120,21 +116,15 @@ func (p *Planner) mergeLabelPredicates(pattern ast.Pattern, cs *conjunctSet, sc 
 		merged[v.Name] = append(merged[v.Name], hl.Labels...)
 		c.used = true
 	}
-	if len(merged) == 0 {
-		return pattern
-	}
-	out := ast.Pattern{Parts: make([]ast.PatternPart, len(pattern.Parts))}
-	for i, part := range pattern.Parts {
-		np := ast.PatternPart{Variable: part.Variable, Rels: part.Rels}
-		np.Nodes = append([]ast.NodePattern(nil), part.Nodes...)
-		for j := range np.Nodes {
-			if extra, ok := merged[np.Nodes[j].Variable]; ok {
-				np.Nodes[j].Labels = appendMissingLabels(np.Nodes[j].Labels, extra)
+	// The pattern is planMatch's private copy (see inlinePredicates), so the
+	// labels are merged in place.
+	for _, part := range pattern.Parts {
+		for j := range part.Nodes {
+			if extra, ok := merged[part.Nodes[j].Variable]; ok {
+				part.Nodes[j].Labels = appendMissingLabels(part.Nodes[j].Labels, extra)
 			}
 		}
-		out.Parts[i] = np
 	}
-	return out
 }
 
 // patternBindsNodeVar reports whether the pattern contains a node with the
@@ -169,71 +159,51 @@ func appendMissingLabels(labels, extra []string) []string {
 	return out
 }
 
-// planPatternTuple plans all parts of a pattern tuple and returns the
-// user-visible variables the pattern introduces. In cost-based mode the
-// parts are solved cheapest-first (greedily, re-estimated as variables
-// become bound, so connected parts follow the parts that bind their
-// variables); legacy mode and single-part patterns keep source order.
-func (p *Planner) planPatternTuple(input plan.Operator, pattern ast.Pattern, sc *scope, cs *conjunctSet) (plan.Operator, []string, error) {
-	op := input
+// planPatternTuple plans all parts of a pattern tuple (as prepared by
+// inlinePredicates) and returns the scope bound after it. The parts of a
+// tuple are solved cheapest-first (greedily, re-estimated as variables become
+// bound, so connected parts follow the parts that bind their variables).
+func (p *Planner) planPatternTuple(input plan.Operator, pattern ast.Pattern, sc *scope, cs *conjunctSet) (plan.Operator, *scope, error) {
 	mc := &matchContext{}
 	bound := sc.clone()
-	addVar := func(v string) {
-		if v != "" {
-			bound.add(v)
-		}
-	}
-	// Conjuncts without variables (parameters, literals) filter the unit row
-	// before any scanning happens.
-	op = cs.attachReady(op, bound)
-
-	if p.opts.Legacy || len(pattern.Parts) <= 1 {
-		for _, part := range pattern.Parts {
-			named := p.nameAnonymous(part)
-			var err error
-			op, err = p.planPart(op, named, bound, mc, addVar, cs)
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		return op, p.introducedVars(pattern, sc, bound), nil
-	}
+	// Conjuncts whose variables are already bound (none, or only those of
+	// earlier clauses) filter the input before any scanning happens.
+	op := cs.attachReady(input, bound)
 
 	remaining := make([]int, len(pattern.Parts))
 	for i := range remaining {
 		remaining[i] = i
 	}
 	for len(remaining) > 0 {
-		bestAt, bestCost := 0, math.Inf(1)
-		for at, idx := range remaining {
-			part := pattern.Parts[idx]
-			cost := math.Inf(1)
-			for s := range part.Nodes {
-				if c := p.partCost(part, s, bound, cs); c < cost {
-					cost = c
+		bestAt := 0
+		if len(remaining) > 1 {
+			bestCost := math.Inf(1)
+			for at, idx := range remaining {
+				part := pattern.Parts[idx]
+				for s := range part.Nodes {
+					if c := p.partCost(part, s, bound, cs); c < bestCost {
+						bestAt, bestCost = at, c
+					}
 				}
-			}
-			if cost < bestCost {
-				bestAt, bestCost = at, cost
 			}
 		}
 		idx := remaining[bestAt]
 		remaining = append(remaining[:bestAt], remaining[bestAt+1:]...)
-		named := p.nameAnonymous(pattern.Parts[idx])
 		var err error
-		op, err = p.planPart(op, named, bound, mc, addVar, cs)
+		op, err = p.planPart(op, pattern.Parts[idx], bound, mc, cs)
 		if err != nil {
 			return nil, nil, err
 		}
 	}
-	return op, p.introducedVars(pattern, sc, bound), nil
+	return op, bound, nil
 }
 
 // introducedVars lists the user-visible variables the pattern introduced, in
 // source-pattern order — NOT in solve order. Scope order decides the column
 // order of RETURN *, so it must not depend on which end of a pattern (or
-// which part of a tuple) the cost model chose to solve first.
-func (p *Planner) introducedVars(pattern ast.Pattern, sc, bound *scope) []string {
+// which part of a tuple) the cost model chose to solve first. The pattern is
+// the source one, whose anonymous elements have no name to collect.
+func introducedVars(pattern ast.Pattern, sc, bound *scope) []string {
 	var out []string
 	seen := map[string]bool{}
 	collect := func(v string) {
@@ -278,24 +248,24 @@ func (p *Planner) nameAnonymous(part ast.PatternPart) ast.PatternPart {
 
 // planPart plans one path pattern: a scan (or reuse of an already-bound
 // variable) for the most selective node, then Expand operators along the
-// chain in both directions. After every operator that binds variables, WHERE
+// chain in both directions. After every operator that binds variables, the
 // conjuncts whose variables are now all bound are attached as filters
 // (predicate pushdown).
-func (p *Planner) planPart(input plan.Operator, part ast.PatternPart, bound *scope, mc *matchContext, addVar func(string), cs *conjunctSet) (plan.Operator, error) {
+func (p *Planner) planPart(input plan.Operator, part ast.PatternPart, bound *scope, mc *matchContext, cs *conjunctSet) (plan.Operator, error) {
 	op := input
 	start := p.chooseStartNode(part, bound, cs)
 
 	// Bind the start node.
 	np := part.Nodes[start]
 	if bound.has(np.Variable) {
-		// Already bound by an earlier clause or an earlier part: only apply
-		// any additional label/property predicates.
-		if pred := nodePredicate(np); pred != nil {
+		// Already bound by an earlier clause or an earlier part: only check
+		// its labels (its conjuncts were attached when it was bound).
+		if pred := labelPredicate(np, ""); pred != nil {
 			op = &plan.Filter{Input: op, Predicate: pred}
 		}
 	} else {
 		op = p.planNodeScan(op, np, bound, cs)
-		addVar(np.Variable)
+		bound.add(np.Variable)
 		mc.nodeVars = append(mc.nodeVars, np.Variable)
 		op = cs.attachReady(op, bound)
 	}
@@ -303,7 +273,7 @@ func (p *Planner) planPart(input plan.Operator, part ast.PatternPart, bound *sco
 	// Expand to the right of the start node, then to the left.
 	for i := start; i < len(part.Rels); i++ {
 		var err error
-		op, err = p.planExpand(op, part, i, false, bound, mc, addVar)
+		op, err = p.planExpand(op, part, i, false, bound, mc)
 		if err != nil {
 			return nil, err
 		}
@@ -311,7 +281,7 @@ func (p *Planner) planPart(input plan.Operator, part ast.PatternPart, bound *sco
 	}
 	for i := start - 1; i >= 0; i-- {
 		var err error
-		op, err = p.planExpand(op, part, i, true, bound, mc, addVar)
+		op, err = p.planExpand(op, part, i, true, bound, mc)
 		if err != nil {
 			return nil, err
 		}
@@ -320,113 +290,42 @@ func (p *Planner) planPart(input plan.Operator, part ast.PatternPart, bound *sco
 
 	if part.Variable != "" {
 		op = &plan.ProjectPath{Input: op, Var: part.Variable, Part: part}
-		addVar(part.Variable)
+		bound.add(part.Variable)
 		op = cs.attachReady(op, bound)
 	}
 	return op, nil
 }
 
 // chooseStartNode picks the index of the node pattern to solve first: an
-// already-bound variable if there is one, otherwise (cost-based mode) the
-// node minimising the estimated rows touched by solving the whole part from
-// it — which folds in index seeks unlocked by WHERE conjuncts and the
-// expansion fan-out in each direction — or (legacy mode) the node whose
-// label/index lookup is estimated cheapest in isolation.
+// already-bound variable if there is one, otherwise the node minimising the
+// estimated rows touched by solving the whole part from it — which folds in
+// index seeks unlocked by conjuncts, the conjuncts' selectivity where they
+// attach, and the expansion fan-out in each direction.
 func (p *Planner) chooseStartNode(part ast.PatternPart, bound *scope, cs *conjunctSet) int {
 	for i, np := range part.Nodes {
 		if bound.has(np.Variable) {
 			return i
 		}
 	}
-	if !p.opts.Legacy {
-		best, bestCost := 0, math.Inf(1)
-		for i := range part.Nodes {
-			if c := p.partCost(part, i, bound, cs); c < bestCost {
-				best, bestCost = i, c
-			}
-		}
-		return best
+	if len(part.Nodes) == 1 {
+		return 0
 	}
-	best, bestCost := 0, int(^uint(0)>>1)
-	for i, np := range part.Nodes {
-		cost := p.stats.NodeCount
-		if len(np.Labels) > 0 {
-			minCard := p.stats.NodeCount
-			for _, l := range np.Labels {
-				if c := p.stats.LabelCardinality(l); c < minCard {
-					minCard = c
-				}
-			}
-			cost = minCard
-			// A usable property index makes the node even cheaper to find.
-			if np.Properties != nil {
-				for _, l := range np.Labels {
-					for _, k := range np.Properties.Keys {
-						if p.g.HasIndex(l, k) {
-							if cost > 1 {
-								cost = 1
-							}
-						}
-					}
-				}
-			}
-		}
-		if cost < bestCost {
-			best, bestCost = i, cost
+	best, bestCost := 0, math.Inf(1)
+	for i := range part.Nodes {
+		if c := p.partCost(part, i, bound, cs); c < bestCost {
+			best, bestCost = i, c
 		}
 	}
 	return best
 }
 
 // planNodeScan emits the cheapest access path for an unbound node pattern,
-// plus a filter for any predicates the chosen path does not cover.
+// plus a filter for any labels the chosen path does not cover.
 func (p *Planner) planNodeScan(input plan.Operator, np ast.NodePattern, bound *scope, cs *conjunctSet) plan.Operator {
-	if !p.opts.Legacy {
-		ap := p.bestAccess(np, bound, cs)
-		ap.consume()
-		op := ap.build(input, np.Variable)
-		if pred := nodePredicateExcluding(np, ap.coveredLabel(), ap.coveredProp); pred != nil {
-			op = &plan.Filter{Input: op, Predicate: pred}
-		}
-		return op
-	}
-	if len(np.Labels) == 0 {
-		op := plan.Operator(&plan.AllNodesScan{Input: input, Var: np.Variable})
-		if pred := propertyPredicate(np); pred != nil {
-			op = &plan.Filter{Input: op, Predicate: pred}
-		}
-		return op
-	}
-	// Index seek if possible.
-	if np.Properties != nil {
-		for _, l := range np.Labels {
-			for i, k := range np.Properties.Keys {
-				if p.g.HasIndex(l, k) {
-					op := plan.Operator(&plan.NodeIndexSeek{
-						Input:    input,
-						Var:      np.Variable,
-						Label:    l,
-						Property: k,
-						Value:    np.Properties.Values[i],
-					})
-					if pred := nodePredicateExcluding(np, l, k); pred != nil {
-						op = &plan.Filter{Input: op, Predicate: pred}
-					}
-					return op
-				}
-			}
-		}
-	}
-	// Label scan on the most selective label.
-	bestLabel := np.Labels[0]
-	bestCard := p.stats.LabelCardinality(bestLabel)
-	for _, l := range np.Labels[1:] {
-		if c := p.stats.LabelCardinality(l); c < bestCard {
-			bestLabel, bestCard = l, c
-		}
-	}
-	op := plan.Operator(&plan.NodeByLabelScan{Input: input, Var: np.Variable, Label: bestLabel})
-	if pred := nodePredicateExcluding(np, bestLabel, ""); pred != nil {
+	ap := p.bestAccess(np, bound, cs)
+	ap.consume()
+	op := ap.build(input, np.Variable)
+	if pred := labelPredicate(np, ap.coveredLabel()); pred != nil {
 		op = &plan.Filter{Input: op, Predicate: pred}
 	}
 	return op
@@ -435,7 +334,7 @@ func (p *Planner) planNodeScan(input plan.Operator, np ast.NodePattern, bound *s
 // planExpand plans relationship i of the part. When reversed is true the
 // traversal goes from node i+1 to node i (the pattern is being solved
 // right-to-left), so the pattern direction is flipped.
-func (p *Planner) planExpand(input plan.Operator, part ast.PatternPart, i int, reversed bool, bound *scope, mc *matchContext, addVar func(string)) (plan.Operator, error) {
+func (p *Planner) planExpand(input plan.Operator, part ast.PatternPart, i int, reversed bool, bound *scope, mc *matchContext) (plan.Operator, error) {
 	rp := part.Rels[i]
 	fromNP, toNP := part.Nodes[i], part.Nodes[i+1]
 	dir := rp.Direction
@@ -467,87 +366,35 @@ func (p *Planner) planExpand(input plan.Operator, part ast.PatternPart, i int, r
 		UniqueNodes:   append([]string(nil), mc.nodeVars...),
 	}
 	mc.relVars = append(mc.relVars, rp.Variable)
-	addVar(rp.Variable)
-
-	var op plan.Operator = expand
+	bound.add(rp.Variable)
 	if !expand.ExpandInto {
-		addVar(toNP.Variable)
+		bound.add(toNP.Variable)
 		mc.nodeVars = append(mc.nodeVars, toNP.Variable)
-		if pred := nodePredicate(toNP); pred != nil {
-			op = &plan.Filter{Input: op, Predicate: pred}
-		}
-	} else if pred := nodePredicate(toNP); pred != nil {
-		// The target node was already bound; its label/property predicates
-		// still need to hold.
+	}
+
+	// The target node's labels hold whether the expansion bound it or
+	// probed an already-bound one.
+	var op plan.Operator = expand
+	if pred := labelPredicate(toNP, ""); pred != nil {
 		op = &plan.Filter{Input: op, Predicate: pred}
 	}
 	return op, nil
 }
 
-// nodePredicate builds the boolean expression corresponding to a node
-// pattern's labels and inline properties (nil when there are none).
-func nodePredicate(np ast.NodePattern) ast.Expr {
-	return nodePredicateExcluding(np, "", "")
-}
-
-// nodePredicateExcluding is nodePredicate minus one label and one property
-// already guaranteed by the chosen scan.
-func nodePredicateExcluding(np ast.NodePattern, coveredLabel, coveredProp string) ast.Expr {
-	var preds []ast.Expr
+// labelPredicate builds the label check `v:L1:L2` for a node pattern, minus
+// one occurrence of a label already guaranteed by the chosen scan (nil when
+// no label is left to check).
+func labelPredicate(np ast.NodePattern, covered string) ast.Expr {
 	var labels []string
 	for _, l := range np.Labels {
-		if l != coveredLabel {
-			labels = append(labels, l)
-		} else {
-			coveredLabel = "\x00" // only skip one occurrence
+		if l == covered {
+			covered = "" // only skip one occurrence
+			continue
 		}
+		labels = append(labels, l)
 	}
-	if len(labels) > 0 {
-		preds = append(preds, &ast.HasLabels{Subject: &ast.Variable{Name: np.Variable}, Labels: labels})
-	}
-	if np.Properties != nil {
-		for i, k := range np.Properties.Keys {
-			if k == coveredProp {
-				coveredProp = "\x00"
-				continue
-			}
-			preds = append(preds, &ast.BinaryOp{
-				Op:  ast.OpEq,
-				LHS: &ast.PropertyAccess{Subject: &ast.Variable{Name: np.Variable}, Key: k},
-				RHS: np.Properties.Values[i],
-			})
-		}
-	}
-	return conjunction(preds)
-}
-
-// propertyPredicate builds only the property part of a node pattern's
-// predicate.
-func propertyPredicate(np ast.NodePattern) ast.Expr {
-	var preds []ast.Expr
-	if np.Properties != nil {
-		for i, k := range np.Properties.Keys {
-			preds = append(preds, &ast.BinaryOp{
-				Op:  ast.OpEq,
-				LHS: &ast.PropertyAccess{Subject: &ast.Variable{Name: np.Variable}, Key: k},
-				RHS: np.Properties.Values[i],
-			})
-		}
-	}
-	return conjunction(preds)
-}
-
-func conjunction(preds []ast.Expr) ast.Expr {
-	switch len(preds) {
-	case 0:
+	if len(labels) == 0 {
 		return nil
-	case 1:
-		return preds[0]
-	default:
-		out := preds[0]
-		for _, p := range preds[1:] {
-			out = &ast.BinaryOp{Op: ast.OpAnd, LHS: out, RHS: p}
-		}
-		return out
 	}
+	return &ast.HasLabels{Subject: &ast.Variable{Name: np.Variable}, Labels: labels}
 }

@@ -15,32 +15,15 @@ import (
 	"repro/internal/plan"
 )
 
-// Options configures a Planner.
-type Options struct {
-	// Legacy disables the cost-based layers added on top of the original
-	// heuristic planner: WHERE-conjunct pushdown and index-aware access-path
-	// selection, cost-ordered pattern parts, and estimate annotation. The
-	// differential tests compare legacy plans against cost-based plans to
-	// prove plan choice never changes results.
-	Legacy bool
-}
-
 // Planner builds plans for one graph (whose statistics drive scan selection).
 type Planner struct {
-	g           *graph.Graph
 	stats       graph.Statistics
-	opts        Options
 	anonCounter int
 }
 
 // New creates a cost-based planner for the graph.
 func New(g *graph.Graph) *Planner {
-	return NewWithOptions(g, Options{})
-}
-
-// NewWithOptions creates a planner with explicit options.
-func NewWithOptions(g *graph.Graph, opts Options) *Planner {
-	return &Planner{g: g, stats: g.Stats(), opts: opts}
+	return &Planner{stats: g.Stats()}
 }
 
 // Plan compiles a full query (possibly a UNION of single queries).
@@ -78,10 +61,8 @@ func (p *Planner) Plan(q *ast.Query) (*plan.Plan, error) {
 	// Assign every bindable name a fixed row slot; the executor carries rows
 	// as slot-indexed slices instead of per-row maps.
 	pl.Slots = plan.ComputeSlots(pl)
-	if !p.opts.Legacy {
-		// Annotate every operator with estimated rows/cost for EXPLAIN.
-		p.annotatePlan(pl)
-	}
+	// Annotate every operator with estimated rows/cost for EXPLAIN.
+	p.annotatePlan(pl)
 	return pl, nil
 }
 

@@ -56,7 +56,7 @@ func TestScanSelection(t *testing.T) {
 	}
 	// Label + property + index: index seek.
 	g.CreateIndex("Researcher", "name")
-	p = planFor(t, New(g).g, "MATCH (n:Researcher {name: 'Elin'}) RETURN n")
+	p = planFor(t, g, "MATCH (n:Researcher {name: 'Elin'}) RETURN n")
 	if !hasOperator(p, "NodeIndexSeek") {
 		t.Errorf("expected NodeIndexSeek:\n%s", p)
 	}
@@ -290,6 +290,31 @@ func TestWhereLabelPredicateSelectsLabelScan(t *testing.T) {
 	}
 }
 
+// An inline map is a conjunct like its WHERE twin, and stays pushed to its
+// node even when an error-capable WHERE keeps its single final Filter.
+func TestInlineMapConjunctsPushedUnderUnsplitWhere(t *testing.T) {
+	g := graph.New()
+	for i := 0; i < 100; i++ {
+		a := g.CreateNode([]string{"Person"}, map[string]value.Value{"name": value.NewString(fmt.Sprintf("p%02d", i))})
+		b := g.CreateNode(nil, nil)
+		if _, err := g.CreateRelationship(a, b, "KNOWS", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := planFor(t, g, "MATCH (a:Person {name: 'p07'})-[:KNOWS]->(b) WHERE 1 / b.x = 1 RETURN b")
+	ops := operators(p)
+	want := []string{"Filter(1 / b.x = 1)", "Expand((a)", "Filter(a.name = 'p07')", "NodeByLabelScan(a:Person)", "Start"}
+	at := 0
+	for _, d := range ops {
+		if at < len(want) && strings.HasPrefix(d, want[at]) {
+			at++
+		}
+	}
+	if at != len(want) {
+		t.Errorf("want the inline conjunct below the Expand and the unsplit WHERE on top (%q in order):\n%s", want, p)
+	}
+}
+
 // Predicates are pushed below later pattern parts: a conjunct mentioning
 // only the first part's variables must filter before the second part's scan.
 func TestPredicatePushdownBelowCartesianPart(t *testing.T) {
@@ -318,20 +343,6 @@ func TestEstimatesAnnotateExplain(t *testing.T) {
 	}
 	if !strings.Contains(p.String(), "rows~") || !strings.Contains(p.String(), "cost~") {
 		t.Errorf("EXPLAIN should surface estimates:\n%s", p)
-	}
-	q, err := parser.Parse("MATCH (n:Person) WHERE n.age > 30 RETURN n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lp, err := NewWithOptions(g, Options{Legacy: true}).Plan(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lp.Est != nil {
-		t.Errorf("legacy plans carry no estimates")
-	}
-	if !hasOperator(lp, "NodeByLabelScan(n:Person)") || hasOperator(lp, "RangeSeek") {
-		t.Errorf("legacy planner must keep the scan+filter shape:\n%s", lp)
 	}
 }
 
