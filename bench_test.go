@@ -698,7 +698,7 @@ func BenchmarkFollowerApply(b *testing.B) {
 			muts[j].ID = base + int64(j)
 		}
 		base += batchSize
-		if err := g.engine.ApplyReplicated(muts); err != nil {
+		if err := g.engine.ApplyReplicatedTerm(g.engine.FenceTerm(), muts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -739,7 +739,7 @@ func BenchmarkFollowerReadLatency(b *testing.B) {
 				default:
 				}
 				start := time.Now()
-				if err := g.engine.ApplyReplicated(junkBatch(base, batchSize)); err != nil {
+				if err := g.engine.ApplyReplicatedTerm(g.engine.FenceTerm(), junkBatch(base, batchSize)); err != nil {
 					b.Error(err)
 					return
 				}

@@ -11,7 +11,7 @@
 //	GET  /explain           ?q=<query>                        -> the compiled plan
 //	GET  /stats             -> graph + plan-cache + replication stats
 //	GET  /healthz           -> JSON {status, role, position, lag}; 503 on a failed follower
-//	POST /admin/checkpoint  -> force a snapshot + WAL truncation (durable only)
+//	POST /admin/checkpoint  -> force a snapshot + WAL truncation (durable; elected leader only with -peers)
 //	POST /admin/resync      -> force a follower to rebuild from the leader's snapshot
 //
 // With -data DIR the graph is durable: every write query is journaled to a
@@ -21,15 +21,13 @@
 // snapshot plus WAL replay — before serving. A requested -dataset seeds the
 // store only when it is empty, so restarts keep accumulated writes.
 //
-// -role selects a static replication topology. A leader additionally serves
-// its WAL as a replication stream under /repl; a follower tails the leader
-// named by -follow, serves reads from its own MVCC versions, and answers
-// write queries with 307 redirects to the leader's advertised address.
-//
-// -peers replaces the static topology with a self-healing cluster: every
-// node gets the full member list, the cluster elects its leader over a
-// time-bounded lease (-election-timeout), writes are acknowledged only
-// after a majority has journaled them, and a failed leader is replaced
+// -peers makes the node one member of a self-healing replication cluster:
+// every node gets the full member list, the cluster elects its leader over
+// a time-bounded lease (-election-timeout), and the leader serves its WAL
+// as a replication stream under /repl. Followers tail it, serve reads from
+// their own MVCC versions, and answer write queries with 307 redirects to
+// the leader's advertised address. Writes are acknowledged only after a
+// majority has journaled them, and a failed leader is replaced
 // automatically with its stale generation fenced off. During a leaderless
 // window writes answer 503 + Retry-After.
 //
@@ -76,11 +74,9 @@ func main() {
 		dataDir     = flag.String("data", "", "data directory; enables WAL + snapshot persistence")
 		syncMode    = flag.String("sync", "always", "WAL fsync policy with -data: always, interval or none")
 		ckptEvery   = flag.Duration("checkpoint-every", 0, "with -data, checkpoint on this interval (0 = only on shutdown)")
-		role        = flag.String("role", "single", "replication role: single, leader or follower")
-		follow      = flag.String("follow", "", "with -role follower, the leader's base URL (e.g. http://127.0.0.1:7474)")
-		peers       = flag.String("peers", "", "comma-separated base URLs of every cluster member (including this node); enables leader election and automatic failover, replacing -role/-follow")
+		peers       = flag.String("peers", "", "comma-separated base URLs of every cluster member (including this node); enables replication with leader election and automatic failover")
 		electionTmo = flag.Duration("election-timeout", 0, "with -peers, leader silence tolerated before campaigning (0 = default 3s)")
-		advertise   = flag.String("advertise", "", "with -role leader or -peers, this node's public base URL (default derived from the listen address)")
+		advertise   = flag.String("advertise", "", "with -peers, this node's public base URL (default derived from the listen address)")
 
 		queryTimeout = flag.Duration("query-timeout", 0, "wall-clock cap per query; per-request timeoutMs may tighten but never exceed it (0 = no cap)")
 		memoryBudget = flag.Int64("memory-budget", 0, "bytes of materialized state (sorts, aggregates, result rows) one query may hold; per-request memoryBudget may tighten it (0 = unlimited)")
@@ -89,8 +85,6 @@ func main() {
 		queueWait    = flag.Duration("queue-wait", 5*time.Second, "with -max-inflight, how long a queued request waits for a slot before 503")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown: how long in-flight queries get to finish before the listener is torn down")
 		slowQuery    = flag.Duration("slow-query-threshold", 0, "log queries slower than this (0 = disabled)")
-		hbTimeout    = flag.Duration("heartbeat-timeout", 0, "with -role follower, declare the stream dead after this long without leader frames (0 = default 15s)")
-		hbInterval   = flag.Duration("heartbeat-interval", 0, "with -role leader, idle-stream heartbeat period; must stay well under the followers' -heartbeat-timeout (0 = default 2s)")
 	)
 	flag.Parse()
 
@@ -112,16 +106,8 @@ func main() {
 		os.Exit(2)
 	}
 	if *peers != "" {
-		// Clustered mode replaces the static role split: every node boots a
-		// follower and elections decide who leads.
-		if *role != "single" {
-			fmt.Fprintln(os.Stderr, "-peers replaces -role (the cluster elects its leader)")
-			os.Exit(2)
-		}
-		if *follow != "" {
-			fmt.Fprintln(os.Stderr, "-peers replaces -follow (the cluster elects its leader)")
-			os.Exit(2)
-		}
+		// Every clustered node boots a follower and elections decide who
+		// leads.
 		if *dataDir == "" {
 			fmt.Fprintln(os.Stderr, "-peers requires -data (replication ships the WAL)")
 			os.Exit(2)
@@ -134,48 +120,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-checkpoint-every cannot be used with -peers (the elected leader checkpoints at promotion)")
 			os.Exit(2)
 		}
-		if *hbTimeout != 0 {
-			fmt.Fprintln(os.Stderr, "-heartbeat-timeout cannot be used with -peers (it derives from -election-timeout)")
-			os.Exit(2)
-		}
 	} else if *electionTmo != 0 {
 		fmt.Fprintln(os.Stderr, "-election-timeout requires -peers")
-		os.Exit(2)
-	}
-	switch *role {
-	case "single":
-		if *follow != "" {
-			fmt.Fprintln(os.Stderr, "-follow requires -role follower")
-			os.Exit(2)
-		}
-	case "leader":
-		if *dataDir == "" {
-			fmt.Fprintln(os.Stderr, "-role leader requires -data (replication ships the WAL)")
-			os.Exit(2)
-		}
-		if *follow != "" {
-			fmt.Fprintln(os.Stderr, "-follow requires -role follower")
-			os.Exit(2)
-		}
-	case "follower":
-		if *dataDir == "" {
-			fmt.Fprintln(os.Stderr, "-role follower requires -data (the stream is journaled locally)")
-			os.Exit(2)
-		}
-		if *follow == "" {
-			fmt.Fprintln(os.Stderr, "-role follower requires -follow <leader base URL>")
-			os.Exit(2)
-		}
-		if *dataset != "" && *dataset != "empty" {
-			fmt.Fprintln(os.Stderr, "-dataset cannot be used with -role follower (all data comes from the leader)")
-			os.Exit(2)
-		}
-		if *ckptEvery > 0 {
-			fmt.Fprintln(os.Stderr, "-checkpoint-every cannot be used with -role follower (only the leader truncates the stream)")
-			os.Exit(2)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -role %q (want single, leader or follower)\n", *role)
 		os.Exit(2)
 	}
 	if *maxInflight < 0 || *queueDepth < 0 || *queueWait < 0 || *drainTimeout < 0 {
@@ -184,14 +130,6 @@ func main() {
 	}
 	if *queueDepth > 0 && *maxInflight == 0 {
 		fmt.Fprintln(os.Stderr, "-queue-depth requires -max-inflight (there is no admission queue without a slot limit)")
-		os.Exit(2)
-	}
-	if *hbTimeout != 0 && *role != "follower" {
-		fmt.Fprintln(os.Stderr, "-heartbeat-timeout requires -role follower")
-		os.Exit(2)
-	}
-	if *hbInterval != 0 && *role != "leader" && *peers == "" {
-		fmt.Fprintln(os.Stderr, "-heartbeat-interval requires -role leader or -peers")
 		os.Exit(2)
 	}
 
@@ -227,22 +165,20 @@ func main() {
 		}()
 	}
 
-	effRole := *role
+	topology := "single"
 	if *peers != "" {
-		effRole = "cluster"
+		topology = "cluster"
 	}
 	gopts := cypher.Options{
-		Parallelism:              *parallelism,
-		BatchSize:                *batchSize,
-		DefaultTimeout:           *queryTimeout,
-		MemoryBudget:             *memoryBudget,
-		ReplicaHeartbeatTimeout:  *hbTimeout,
-		ReplicaHeartbeatInterval: *hbInterval,
-		Advertise:                *advertise,
-		Peers:                    splitPeers(*peers),
-		ElectionTimeout:          *electionTmo,
+		Parallelism:     *parallelism,
+		BatchSize:       *batchSize,
+		DefaultTimeout:  *queryTimeout,
+		MemoryBudget:    *memoryBudget,
+		Advertise:       *advertise,
+		Peers:           splitPeers(*peers),
+		ElectionTimeout: *electionTmo,
 	}
-	g, err := buildGraph(effRole, *follow, *dataset, *size, *dataDir, *syncMode, gopts)
+	g, err := buildGraph(*dataset, *size, *dataDir, *syncMode, gopts)
 	if err != nil {
 		ln.Close()
 		fmt.Fprintln(os.Stderr, err)
@@ -250,7 +186,7 @@ func main() {
 	}
 	s := g.Stats()
 	log.Printf("serving %s dataset (%d nodes, %d relationships) on %s as %s, per-query parallelism %d",
-		*dataset, s.Nodes, s.Relationships, ln.Addr(), effRole, *parallelism)
+		*dataset, s.Nodes, s.Relationships, ln.Addr(), topology, *parallelism)
 	if ds, ok := g.DurabilityStats(); ok {
 		log.Printf("durable: dir=%s sync=%s generation=%d (recovered %d snapshot + %d WAL records%s)",
 			ds.Dir, ds.SyncMode, ds.Generation, ds.Recovery.SnapshotRecords, ds.Recovery.WALRecords,
@@ -259,7 +195,6 @@ func main() {
 
 	srv := newServer(serverConfig{
 		graph:        g,
-		role:         effRole,
 		parallelism:  *parallelism,
 		queryTimeout: *queryTimeout,
 		memoryBudget: *memoryBudget,
@@ -269,7 +204,7 @@ func main() {
 		slowQuery:    *slowQuery,
 	})
 	mux := srv.routes()
-	if *role == "leader" || *peers != "" {
+	if *peers != "" {
 		h, err := g.ReplicationHandler(*advertise)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -277,12 +212,7 @@ func main() {
 		}
 		mux.Handle("/repl/", http.StripPrefix("/repl", h))
 		log.Printf("replication: serving /repl, advertising %s", *advertise)
-	}
-	if *peers != "" {
 		log.Printf("replication: clustered with %v (election timeout %v)", gopts.Peers, gopts.ElectionTimeout)
-	}
-	if *role == "follower" {
-		log.Printf("replication: following %s", *follow)
 	}
 
 	// Header/idle timeouts shed slowloris and half-open clients. The write
@@ -341,12 +271,12 @@ func main() {
 		httpSrv.Close()
 	}
 	// Checkpoint so the next start recovers from a snapshot instead of
-	// replaying the whole WAL, then release the files. Followers skip this:
-	// their WAL must stay a byte-identical prefix of the leader's, and
-	// truncating it locally would fork the generation numbering. Clustered
-	// nodes skip it too — the node may be (or become) a follower, and an
-	// elected leader already checkpointed at promotion.
-	if *role != "follower" && *peers == "" {
+	// replaying the whole WAL, then release the files. Clustered nodes skip
+	// this: the node may be (or become) a follower, whose WAL must stay a
+	// byte-identical prefix of the leader's (truncating it locally would
+	// fork the generation numbering), and an elected leader already
+	// checkpointed at promotion.
+	if *peers == "" {
 		if err := g.Checkpoint(); err != nil {
 			log.Printf("shutdown checkpoint: %v", err)
 		}
@@ -396,7 +326,7 @@ func tornNote(torn bool) string {
 	return ""
 }
 
-func buildGraph(role, follow, dataset string, size int, dataDir, syncMode string, opts cypher.Options) (*cypher.Graph, error) {
+func buildGraph(dataset string, size int, dataDir, syncMode string, opts cypher.Options) (*cypher.Graph, error) {
 	// Validate the dataset name up front: on a non-virgin durable directory
 	// the seeding path is skipped entirely, and a typo must not be silently
 	// accepted (and then seed on some later virgin restart).
@@ -404,22 +334,13 @@ func buildGraph(role, follow, dataset string, size int, dataDir, syncMode string
 		return nil, errUnknownDataset(dataset)
 	}
 
-	if role == "cluster" {
+	if len(opts.Peers) > 0 {
 		mode, err := cypher.ParseSyncMode(syncMode)
 		if err != nil {
 			return nil, err
 		}
 		opts.SyncMode = mode
 		return cypher.OpenCluster(dataDir, opts)
-	}
-
-	if role == "follower" {
-		mode, err := cypher.ParseSyncMode(syncMode)
-		if err != nil {
-			return nil, err
-		}
-		opts.SyncMode = mode
-		return cypher.OpenFollower(dataDir, follow, opts)
 	}
 
 	if dataDir != "" {
@@ -511,7 +432,6 @@ func datasetStore(dataset string, size int) (*graph.Graph, error) {
 // construct it directly and serve the routes from httptest.
 type serverConfig struct {
 	graph        *cypher.Graph
-	role         string
 	parallelism  int
 	queryTimeout time.Duration // server-wide cap; requests may tighten, never loosen
 	memoryBudget int64         // server-wide cap, same convention
@@ -524,7 +444,6 @@ type serverConfig struct {
 type server struct {
 	cfg     serverConfig
 	graph   *cypher.Graph
-	role    string
 	started time.Time
 	adm     *admission
 }
@@ -533,14 +452,13 @@ func newServer(cfg serverConfig) *server {
 	return &server{
 		cfg:     cfg,
 		graph:   cfg.graph,
-		role:    cfg.role,
 		started: time.Now(),
 		adm:     newAdmission(cfg.maxInflight, cfg.queueDepth, cfg.queueWait),
 	}
 }
 
-// routes builds the API mux (everything except the leader's /repl mount,
-// which main attaches because only a durable leader has one).
+// routes builds the API mux (everything except the /repl mount, which main
+// attaches because only a clustered node has one).
 func (s *server) routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", s.handleQuery)
@@ -821,7 +739,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	gov := s.graph.GovernanceStats()
 	out := map[string]any{
 		"status":   "ok",
-		"role":     s.role,
+		"role":     "single",
 		"inFlight": gov.InFlight,
 	}
 	if s.adm != nil {
@@ -829,17 +747,15 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}
 	status := http.StatusOK
 	if rs, ok := s.graph.ReplicationStats(); ok {
+		// Clustered nodes report their live election view: the current
+		// term, which role this node holds right now, and the leader it
+		// recognizes — the failover harness and load balancers key off
+		// these.
+		out["role"] = rs.Role
+		out["term"] = rs.Term
+		out["leader"] = rs.ClusterLeader
 		out["state"] = rs.State
 		out["position"] = rs.Local
-		if s.role == "cluster" {
-			// Clustered nodes report their live election view: the current
-			// term, which role this node holds right now, and the leader it
-			// recognizes — the failover harness and load balancers key off
-			// these.
-			out["role"] = rs.Role
-			out["term"] = rs.Term
-			out["leader"] = rs.ClusterLeader
-		}
 		if rs.Role == "follower" || rs.Role == "candidate" {
 			out["lagEntries"] = rs.LagEntries
 			out["lagBytes"] = rs.LagBytes
@@ -857,21 +773,16 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // handleCheckpoint forces a snapshot + WAL truncation. Exposed so operators
 // (and the replication CI harness) can push the stream past a stopped
-// follower's position on demand.
+// follower's position on demand. A clustered node must be the elected
+// leader: a follower's log mirrors the leader's.
 func (s *server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST to checkpoint")
 		return
 	}
-	if s.role == "follower" {
-		httpError(w, http.StatusForbidden, "a follower does not checkpoint; its log mirrors the leader's")
+	if rs, ok := s.graph.ReplicationStats(); ok && rs.Role != "leader" {
+		httpError(w, http.StatusForbidden, "only the elected leader checkpoints; this node is a %s", rs.Role)
 		return
-	}
-	if s.role == "cluster" {
-		if rs, ok := s.graph.ReplicationStats(); !ok || rs.Role != "leader" {
-			httpError(w, http.StatusForbidden, "only the elected leader checkpoints; this node is a %s", rs.Role)
-			return
-		}
 	}
 	if _, ok := s.graph.DurabilityStats(); !ok {
 		httpError(w, http.StatusConflict, "not a durable graph (start with -data)")
@@ -944,21 +855,19 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			"selectivity":  sel,
 		})
 	}
-	replication := map[string]any{"enabled": false, "role": s.role}
+	replication := map[string]any{"enabled": false, "role": "single"}
 	if rs, ok := s.graph.ReplicationStats(); ok {
 		replication = map[string]any{
-			"enabled":  true,
-			"role":     rs.Role,
-			"state":    rs.State,
-			"position": rs.Local,
-		}
-		if s.role == "cluster" {
-			replication["term"] = rs.Term
-			replication["leader"] = rs.ClusterLeader
-			replication["quorumSize"] = rs.QuorumSize
-			replication["ackedPeers"] = rs.AckedPeers
-			replication["elections"] = rs.Elections
-			replication["forcedResyncs"] = rs.ForcedResyncs
+			"enabled":       true,
+			"role":          rs.Role,
+			"state":         rs.State,
+			"position":      rs.Local,
+			"term":          rs.Term,
+			"leader":        rs.ClusterLeader,
+			"quorumSize":    rs.QuorumSize,
+			"ackedPeers":    rs.AckedPeers,
+			"elections":     rs.Elections,
+			"forcedResyncs": rs.ForcedResyncs,
 		}
 		switch rs.Role {
 		case "leader":

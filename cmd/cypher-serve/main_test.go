@@ -51,7 +51,6 @@ func postQuery(t *testing.T, ts *httptest.Server, body string) (*http.Response, 
 func TestAdmissionQueueFullAnswers429(t *testing.T) {
 	srv := newServer(serverConfig{
 		graph:       testGraph(t, cypher.Options{}),
-		role:        "single",
 		maxInflight: 1,
 		queueDepth:  0,
 		queueWait:   time.Second,
@@ -78,7 +77,6 @@ func TestAdmissionQueueFullAnswers429(t *testing.T) {
 func TestAdmissionWaitDeadlineAnswers503(t *testing.T) {
 	srv := newServer(serverConfig{
 		graph:       testGraph(t, cypher.Options{}),
-		role:        "single",
 		maxInflight: 1,
 		queueDepth:  1,
 		queueWait:   25 * time.Millisecond,
@@ -115,7 +113,6 @@ func TestQueryErrorStatusMapping(t *testing.T) {
 	})
 	srv := newServer(serverConfig{
 		graph:        testGraph(t, cypher.Options{}),
-		role:         "single",
 		queryTimeout: time.Minute, // server cap; requests tighten below
 	})
 	ts := httptest.NewServer(srv.routes())
@@ -153,7 +150,6 @@ func TestQueryErrorStatusMapping(t *testing.T) {
 func TestClientDisconnectMidQuery(t *testing.T) {
 	srv := newServer(serverConfig{
 		graph: testGraph(t, cypher.Options{Parallelism: 4}),
-		role:  "single",
 	})
 	ts := httptest.NewServer(srv.routes())
 	defer ts.Close()
@@ -200,7 +196,6 @@ func TestClientDisconnectMidQuery(t *testing.T) {
 func TestStatsGovernanceSection(t *testing.T) {
 	srv := newServer(serverConfig{
 		graph:        testGraph(t, cypher.Options{}),
-		role:         "single",
 		queryTimeout: 30 * time.Second,
 		memoryBudget: 1 << 20,
 		maxInflight:  8,

@@ -148,17 +148,6 @@ type Options struct {
 	// accumulate before it fails with *ResourceExhaustedError. Zero means
 	// unlimited. Individual queries can override it through QueryOptions.
 	MemoryBudget int64
-	// ReplicaHeartbeatTimeout is how long a follower waits without frames or
-	// heartbeats from its leader before declaring the stream stalled and
-	// reconnecting. Zero means the replica package default. Only meaningful
-	// for graphs opened with OpenFollower.
-	ReplicaHeartbeatTimeout time.Duration
-	// ReplicaHeartbeatInterval is how often this node, when serving as a
-	// replication leader, re-sends its live position on idle streams. It is
-	// the followers' liveness signal and must stay well under their
-	// ReplicaHeartbeatTimeout. Zero means the replica package default (2s).
-	// Only meaningful for graphs that call ReplicationHandler.
-	ReplicaHeartbeatInterval time.Duration
 	// Advertise is this node's public base URL in a replication cluster
 	// (scheme://host:port); it is the node's identity in elections and the
 	// redirect target for writes while it leads. Required by OpenCluster.
@@ -168,15 +157,12 @@ type Options struct {
 	// computed over the full set. Only meaningful with OpenCluster.
 	Peers []string
 	// ElectionTimeout is how long a cluster node tolerates leader silence
-	// before campaigning; the other cluster timings (heartbeat cadence,
-	// vote RPC deadlines) derive from it. Zero means the replica package
-	// default (3s). Only meaningful with OpenCluster.
+	// before campaigning; the other cluster timings derive from it: the
+	// leader's idle-stream heartbeat is a sixth of it, vote RPCs time out
+	// after it, and an elected leader degrades writes to 503 once its newest
+	// quorum of follower acknowledgements is older than it. Zero means the
+	// replica package default (3s). Only meaningful with OpenCluster.
 	ElectionTimeout time.Duration
-	// LeaderLease is how stale the newest quorum of follower acknowledgements
-	// may grow before an elected leader degrades writes to 503 (it can no
-	// longer prove its writes commit). Zero means ElectionTimeout. Only
-	// meaningful with OpenCluster.
-	LeaderLease time.Duration
 	// DataDir, when non-empty, makes the graph durable: mutations are
 	// journaled to a write-ahead log under this directory and Checkpoint
 	// writes full snapshots. Opening an existing directory recovers the
@@ -195,19 +181,9 @@ type Options struct {
 type Graph struct {
 	store  *graph.Graph
 	engine *core.Engine
-	// leader is non-nil once ReplicationHandler has been called: this graph
-	// serves its WAL as a replication stream.
-	leader *replica.Leader
-	// follower is non-nil for graphs opened with OpenFollower: a background
-	// tailer keeps the graph converged with its leader and the engine rejects
-	// write queries.
-	follower *replica.Follower
 	// cluster is non-nil for graphs opened with OpenCluster: the node runs
 	// leader elections and may be leader or follower at any moment.
 	cluster *replica.Cluster
-	// replicaHeartbeat is Options.ReplicaHeartbeatInterval, applied to the
-	// leader when ReplicationHandler is called.
-	replicaHeartbeat time.Duration
 }
 
 // New creates an empty in-memory graph with default options.
@@ -254,40 +230,6 @@ func Open(dir string, opts Options) (*Graph, error) {
 	return g, nil
 }
 
-// OpenFollower opens dir as a read-only replica of the leader at the given
-// base URL (e.g. "http://10.0.0.1:7474") and starts tailing its replication
-// stream in the background. An existing follower directory is recovered first
-// (snapshot + local WAL replay) and streaming resumes from the recovered
-// position; a fresh directory replicates from the beginning, downloading a
-// whole snapshot when the leader has already truncated its early history.
-//
-// Read queries run against the follower's local MVCC versions and never block
-// on apply. Write queries fail with *ReadOnlyReplicaError carrying the
-// leader's advertised address. Close stops the tailer and releases the
-// directory.
-func OpenFollower(dir, leader string, opts Options) (*Graph, error) {
-	name := opts.Name
-	if name == "" {
-		name = "graph"
-	}
-	store := graph.NewNamed(name)
-	fstore, err := storage.OpenFollower(dir, store, storage.Options{SyncMode: opts.SyncMode})
-	if err != nil {
-		return nil, err
-	}
-	opts.DataDir = ""
-	g := Wrap(store, opts)
-	g.engine.SetFollowerOf(leader)
-	g.follower = replica.NewFollower(replica.FollowerConfig{
-		Leader:           leader,
-		Engine:           g.engine,
-		Store:            fstore,
-		HeartbeatTimeout: opts.ReplicaHeartbeatTimeout,
-	})
-	g.follower.Start()
-	return g, nil
-}
-
 // OpenCluster opens dir as one node of a replication cluster with automatic
 // leader election and failover. Every node boots as a read-only follower;
 // the cluster elects the member with the most complete log (highest WAL
@@ -319,14 +261,12 @@ func OpenCluster(dir string, opts Options) (*Graph, error) {
 	opts.DataDir = ""
 	g := Wrap(store, opts)
 	cl, err := replica.NewCluster(replica.ClusterConfig{
-		Dir:               dir,
-		Advertise:         opts.Advertise,
-		Peers:             opts.Peers,
-		Engine:            g.engine,
-		Store:             fstore,
-		ElectionTimeout:   opts.ElectionTimeout,
-		HeartbeatInterval: opts.ReplicaHeartbeatInterval,
-		LeaderLease:       opts.LeaderLease,
+		Dir:             dir,
+		Advertise:       opts.Advertise,
+		Peers:           opts.Peers,
+		Engine:          g.engine,
+		Store:           fstore,
+		ElectionTimeout: opts.ElectionTimeout,
 	})
 	if err != nil {
 		fstore.Close()
@@ -351,64 +291,45 @@ func (g *Graph) WaitReplicated(ctx context.Context) error {
 	return g.cluster.WaitCommitted(ctx, g.cluster.Position())
 }
 
-// Resync asks a clustered follower (or a standalone follower opened with
-// OpenFollower) to recover via whole-snapshot catch-up, the in-place repair
-// for a fail-stopped tailer — divergent local WAL, stale-term stream, apply
-// failure. Serving layers expose it as POST /admin/resync.
+// Resync asks a clustered follower to recover via whole-snapshot catch-up,
+// the in-place repair for a fail-stopped tailer — divergent local WAL,
+// stale-term stream, apply failure. Serving layers expose it as
+// POST /admin/resync.
 func (g *Graph) Resync() error {
-	switch {
-	case g.cluster != nil:
-		return g.cluster.Resync()
-	case g.follower != nil:
-		g.follower.Resync()
-		return nil
+	if g.cluster == nil {
+		return fmt.Errorf("cypher: resync applies to clustered graphs (use OpenCluster)")
 	}
-	return fmt.Errorf("cypher: resync applies to replicas")
+	return g.cluster.Resync()
 }
 
-// ReplicationHandler turns a durable graph into a replication leader and
-// returns the handler serving the stream endpoints; mount it under /repl:
+// ReplicationHandler returns the handler serving a clustered graph's
+// replication endpoints — WAL stream, votes, acknowledgements, discovery —
+// whatever the node's current role; mount it under /repl:
 //
 //	mux.Handle("/repl/", http.StripPrefix("/repl", handler))
 //
-// advertise is the leader's public base URL, handed to followers so they can
-// redirect rejected writes here. It errors on a non-durable graph (there is
-// no WAL to ship) and on a follower (chained replication is not supported).
+// The node's address was fixed by Options.Advertise at OpenCluster, so
+// advertise is ignored. It errors on a graph that is not clustered.
 func (g *Graph) ReplicationHandler(advertise string) (http.Handler, error) {
-	if g.cluster != nil {
-		// Clustered nodes serve the full endpoint set (stream + election)
-		// whatever their current role; advertise was fixed at OpenCluster.
-		return g.cluster.Handler(), nil
+	if g.cluster == nil {
+		return nil, fmt.Errorf("cypher: replication requires a clustered graph (use OpenCluster)")
 	}
-	if g.follower != nil {
-		return nil, fmt.Errorf("cypher: a follower cannot serve replication")
-	}
-	d := g.engine.Durability()
-	if d == nil {
-		return nil, fmt.Errorf("cypher: replication requires a durable graph (use Open)")
-	}
-	g.leader = replica.NewLeader(d, advertise)
-	g.leader.SetHeartbeatInterval(g.replicaHeartbeat)
-	return g.leader.Handler(), nil
+	return g.cluster.Handler(), nil
 }
 
 // ReplicationStats reports this node's replication side; ok is false when the
-// graph neither serves replication nor follows a leader.
+// graph is not clustered.
 func (g *Graph) ReplicationStats() (stats ReplicationStats, ok bool) {
-	switch {
-	case g.cluster != nil:
-		return g.cluster.Stats(), true
-	case g.follower != nil:
-		return g.follower.Stats(), true
-	case g.leader != nil:
-		return g.leader.Stats(), true
+	if g.cluster == nil {
+		return ReplicationStats{}, false
 	}
-	return ReplicationStats{}, false
+	return g.cluster.Stats(), true
 }
 
 // Close flushes and syncs the write-ahead log and releases the data
-// directory. On a follower it first stops the replication tailer. It is a
-// no-op (nil) for in-memory graphs. The graph must not be used afterwards.
+// directory. On a clustered graph it first stops elections and the
+// replication stream. It is a no-op (nil) for in-memory graphs. The graph
+// must not be used afterwards.
 func (g *Graph) Close() error {
 	if g.cluster != nil {
 		// Stops elections, the tailer or leader stream, and closes whichever
@@ -418,9 +339,6 @@ func (g *Graph) Close() error {
 			err = cerr
 		}
 		return err
-	}
-	if g.follower != nil {
-		return g.follower.Stop() // closes the follower store too
 	}
 	return g.engine.Close()
 }
@@ -467,7 +385,7 @@ func Wrap(store *graph.Graph, opts Options) *Graph {
 		DefaultTimeout:    opts.DefaultTimeout,
 		MemoryBudget:      opts.MemoryBudget,
 	})
-	return &Graph{store: store, engine: engine, replicaHeartbeat: opts.ReplicaHeartbeatInterval}
+	return &Graph{store: store, engine: engine}
 }
 
 // QueryOptions carries per-query governance overrides for QueryContext.

@@ -21,7 +21,7 @@ func TestApplyReplicatedVisibility(t *testing.T) {
 	e := emptyEngine()
 	e.SetFollowerOf("http://leader:7474")
 
-	if err := e.ApplyReplicated(personBatch(1, "Ada")); err != nil {
+	if err := e.ApplyReplicatedTerm(e.FenceTerm(), personBatch(1, "Ada")); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
 	res, err := e.Run(`MATCH (p:Person) RETURN p.name`, nil)
@@ -45,11 +45,11 @@ func TestApplyReplicatedKeepsEpochLockstep(t *testing.T) {
 	e := emptyEngine()
 	e.SetFollowerOf("http://leader:7474")
 
-	// Many small batches: if ApplyReplicated failed to Capture its mutations
+	// Many small batches: if ApplyReplicatedTerm failed to Capture its mutations
 	// into the MVCC backlog, every BeginWrite would detect replica divergence
 	// and re-clone the whole graph.
 	for i := 0; i < 20; i++ {
-		if err := e.ApplyReplicated(personBatch(int64(i+1), fmt.Sprintf("p%d", i))); err != nil {
+		if err := e.ApplyReplicatedTerm(e.FenceTerm(), personBatch(int64(i+1), fmt.Sprintf("p%d", i))); err != nil {
 			t.Fatalf("apply %d: %v", i, err)
 		}
 	}
@@ -61,7 +61,7 @@ func TestApplyReplicatedKeepsEpochLockstep(t *testing.T) {
 func TestApplyReplicatedUnderConcurrentReaders(t *testing.T) {
 	e := emptyEngine()
 	e.SetFollowerOf("http://leader:7474")
-	if err := e.ApplyReplicated(personBatch(1, "seed")); err != nil {
+	if err := e.ApplyReplicatedTerm(e.FenceTerm(), personBatch(1, "seed")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -93,7 +93,7 @@ func TestApplyReplicatedUnderConcurrentReaders(t *testing.T) {
 		}()
 	}
 	for i := 2; i <= 50; i++ {
-		if err := e.ApplyReplicated(personBatch(int64(i), fmt.Sprintf("p%d", i))); err != nil {
+		if err := e.ApplyReplicatedTerm(e.FenceTerm(), personBatch(int64(i), fmt.Sprintf("p%d", i))); err != nil {
 			t.Fatalf("apply %d: %v", i, err)
 		}
 	}
@@ -149,7 +149,7 @@ func TestResetReplicatedReplacesEverything(t *testing.T) {
 	}
 	// The shipped ID counters take effect (a later replicated create with the
 	// next leader-assigned ID must not collide).
-	if err := e.ApplyReplicated([]graph.Mutation{{Kind: graph.MutCreateNode, ID: 12, Labels: []string{"New"}}}); err != nil {
+	if err := e.ApplyReplicatedTerm(e.FenceTerm(), []graph.Mutation{{Kind: graph.MutCreateNode, ID: 12, Labels: []string{"New"}}}); err != nil {
 		t.Fatalf("apply after reset: %v", err)
 	}
 	// And MVCC stays in lockstep through the reset.
@@ -161,7 +161,7 @@ func TestResetReplicatedReplacesEverything(t *testing.T) {
 func TestFollowerRejectsWrites(t *testing.T) {
 	e := emptyEngine()
 	e.SetFollowerOf("http://leader:7474")
-	if err := e.ApplyReplicated(personBatch(1, "Ada")); err != nil {
+	if err := e.ApplyReplicatedTerm(e.FenceTerm(), personBatch(1, "Ada")); err != nil {
 		t.Fatal(err)
 	}
 

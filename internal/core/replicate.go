@@ -1,6 +1,6 @@
 // Replication wiring: the apply side of WAL shipping. A follower engine
 // never executes write queries; instead the replication tailer feeds it the
-// leader's committed batches through ApplyReplicated, which drives them
+// leader's committed batches through ApplyReplicatedTerm, which drives them
 // through the same BeginWrite → mutate → Publish cycle a local write query
 // uses. Readers on a follower therefore keep the full MVCC contract — they
 // pin a published immutable version and never block on (or observe a torn
@@ -59,7 +59,7 @@ type replicaRole struct {
 // SetFollowerOf marks the engine as a read-only replica of the leader at the
 // given advertised address: write queries, index creation and imports are
 // rejected with a *ReadOnlyReplicaError from here on, leaving
-// ApplyReplicated/ResetReplicated as the only mutation paths. An empty
+// ApplyReplicatedTerm/ResetReplicated as the only mutation paths. An empty
 // address restores the writer role. Safe to call while the engine is shared:
 // elections re-point replicas at the new winner on the fly.
 func (e *Engine) SetFollowerOf(leader string) {
@@ -138,26 +138,18 @@ func (e *Engine) SetFenceTerm(term uint64) {
 // FenceTerm returns the newest election term the engine has acknowledged.
 func (e *Engine) FenceTerm() uint64 { return e.fence.Load() }
 
-// ApplyReplicated applies one committed batch from the replication stream:
-// the decoded mutations of exactly one leader WAL entry. It runs the full
-// write cycle — catch the spare version up, publish it as read head, drain
-// pins off the primary, apply, republish — so concurrent readers only ever
-// see the graph before or after the whole batch, never mid-batch, and each
-// mutation is Captured into the MVCC backlog so the next cycle's replica
-// replay stays in epoch lockstep (no defensive re-clone per batch).
+// ApplyReplicatedTerm applies one committed batch from the replication
+// stream: the decoded mutations of exactly one leader WAL entry, with the
+// election term the entry's stream frame carried. It runs the full write
+// cycle — catch the spare version up, publish it as read head, drain pins
+// off the primary, apply, republish — so concurrent readers only ever see the
+// graph before or after the whole batch, never mid-batch, and each mutation
+// is Captured into the MVCC backlog so the next cycle's replica replay stays
+// in epoch lockstep (no defensive re-clone per batch).
 //
 // The caller is responsible for having journaled the entry locally first
 // (durability precedes visibility, the same ordering the leader's commit
-// path uses). ApplyReplicated stamps the batch with the engine's own current
-// fence, so it always passes the term check — it is the legacy single-leader
-// path; clustered tailers use ApplyReplicatedTerm with the stream frame's
-// term.
-func (e *Engine) ApplyReplicated(batch []graph.Mutation) error {
-	return e.ApplyReplicatedTerm(e.fence.Load(), batch)
-}
-
-// ApplyReplicatedTerm is ApplyReplicated with the election term the batch's
-// stream frame carried. A term older than the engine's fence is refused with
+// path uses). A term older than the engine's fence is refused with
 // a *StaleTermError before anything is applied: the batch comes from a
 // deposed leader, and applying it would fork this replica from the history
 // the new leader is writing.

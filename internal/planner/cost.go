@@ -152,7 +152,19 @@ func (p *Planner) bestAccess(np ast.NodePattern, bound *scope, cs *conjunctSet) 
 			loE, hiE     ast.Expr
 			loInc, hiInc bool
 		}
+		// props keeps the properties in the order their first conjunct
+		// appears, so equal-cost range seeks resolve the same way every run.
 		ranges := map[string]*rangeBounds{}
+		var props []string
+		rangeFor := func(prop string) *rangeBounds {
+			rb := ranges[prop]
+			if rb == nil {
+				rb = &rangeBounds{}
+				ranges[prop] = rb
+				props = append(props, prop)
+			}
+			return rb
+		}
 		for _, c := range cs.items {
 			if c.used {
 				continue
@@ -176,26 +188,17 @@ func (p *Planner) bestAccess(np ast.NodePattern, bound *scope, cs *conjunctSet) 
 				consider(accessPath{kind: accessPrefixSeek, label: l, property: prop,
 					value: rhs, conjs: []*conjunct{c}, est: math.Max(1, selPrefix*float64(is.Entries))})
 			case ast.OpGt, ast.OpGe:
-				rb := ranges[prop]
-				if rb == nil {
-					rb = &rangeBounds{}
-					ranges[prop] = rb
-				}
-				if rb.lo == nil {
+				if rb := rangeFor(prop); rb.lo == nil {
 					rb.lo, rb.loE, rb.loInc = c, rhs, op == ast.OpGe
 				}
 			case ast.OpLt, ast.OpLe:
-				rb := ranges[prop]
-				if rb == nil {
-					rb = &rangeBounds{}
-					ranges[prop] = rb
-				}
-				if rb.hi == nil {
+				if rb := rangeFor(prop); rb.hi == nil {
 					rb.hi, rb.hiE, rb.hiInc = c, rhs, op == ast.OpLe
 				}
 			}
 		}
-		for prop, rb := range ranges {
+		for _, prop := range props {
+			rb := ranges[prop]
 			is, _ := p.stats.Index(l, prop)
 			sel := selHalfRange
 			ap := accessPath{kind: accessRangeSeek, label: l, property: prop,

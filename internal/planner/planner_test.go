@@ -416,3 +416,27 @@ func TestReturnStarOrderIndependentOfSolveOrder(t *testing.T) {
 		}
 	}
 }
+
+// Two indexed range properties with equal estimates must pick the same seek
+// on every planning run: the one whose conjunct comes first in the WHERE.
+func TestEqualCostRangeSeekIsDeterministic(t *testing.T) {
+	g := graph.New()
+	for i := 0; i < 100; i++ {
+		g.CreateNode([]string{"L"}, map[string]value.Value{
+			"a": value.NewInt(int64(i)),
+			"b": value.NewInt(int64(i)),
+		})
+	}
+	g.CreateIndex("L", "a")
+	g.CreateIndex("L", "b")
+	const q = "MATCH (n:L) WHERE n.a > 1 AND n.b > 1 RETURN n"
+	want := planFor(t, g, q).String()
+	if !strings.Contains(want, "NodeIndexRangeSeek(n:L {a > 1})") {
+		t.Fatalf("expected the seek on the first conjunct's property:\n%s", want)
+	}
+	for i := 0; i < 50; i++ {
+		if got := planFor(t, g, q).String(); got != want {
+			t.Fatalf("plan %d differs:\n%s\nwant:\n%s", i, got, want)
+		}
+	}
+}

@@ -1,10 +1,10 @@
 package replica_test
 
 // End-to-end replication harness: builds the real cypher-serve binary, boots
-// a leader and two followers as separate OS processes, and drives the
+// a three-node -peers cluster as separate OS processes, and drives the
 // scenarios the CI replication job gates on — convergence to byte-identical
-// query results, SIGKILL + restart with WAL-offset resume, and leader
-// truncation forcing snapshot catch-up.
+// query results, SIGKILL + restart with WAL-offset resume, leader
+// truncation forcing snapshot catch-up, and leader failover.
 
 import (
 	"bytes"
@@ -208,16 +208,39 @@ func waitConverged(t *testing.T, leader, follower *node) {
 
 const checkQuery = `MATCH (d:Doc) RETURN d.rev ORDER BY d.rev`
 
+// startCluster boots a three-node -peers cluster, each node over its own
+// fresh data directory.
+func startCluster(t *testing.T, bin, electionTimeout string) []*node {
+	t.Helper()
+	addrs := []string{freeAddr(t), freeAddr(t), freeAddr(t)}
+	urls := make([]string, len(addrs))
+	for i, a := range addrs {
+		urls[i] = "http://" + a
+	}
+	peersCSV := strings.Join(urls, ",")
+	nodes := make([]*node, len(addrs))
+	for i := range nodes {
+		nodes[i] = startNode(t, bin, addrs[i], t.TempDir(),
+			"-peers", peersCSV, "-election-timeout", electionTimeout)
+	}
+	return nodes
+}
+
 func TestClusterEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process e2e harness; skipped in -short")
 	}
 	bin := buildServe(t)
 
-	leaderAddr := freeAddr(t)
-	leader := startNode(t, bin, leaderAddr, t.TempDir(), "-role", "leader")
-	f1 := startNode(t, bin, freeAddr(t), t.TempDir(), "-role", "follower", "-follow", leader.url())
-	f2 := startNode(t, bin, freeAddr(t), t.TempDir(), "-role", "follower", "-follow", leader.url())
+	nodes := startCluster(t, bin, "1s")
+	leader := waitElectedLeader(t, nodes, 15*time.Second)
+	var followers []*node
+	for _, n := range nodes {
+		if n != leader {
+			followers = append(followers, n)
+		}
+	}
+	f1, f2 := followers[0], followers[1]
 
 	// Drive writes at the leader and wait for both followers to catch up.
 	for i := 1; i <= 20; i++ {
@@ -228,7 +251,7 @@ func TestClusterEndToEnd(t *testing.T) {
 
 	// All three nodes answer the same query byte-identically.
 	want := leader.resultData(checkQuery)
-	for _, f := range []*node{f1, f2} {
+	for _, f := range followers {
 		if got := f.resultData(checkQuery); !bytes.Equal(got, want) {
 			t.Fatalf("follower %s diverges from leader:\nleader:   %s\nfollower: %s", f.addr, want, got)
 		}
@@ -241,8 +264,9 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 
 	// --- Crash and WAL-offset resume -----------------------------------
-	// SIGKILL follower 1 mid-stream, keep writing, restart it over the same
-	// directory: it must resume from its durable WAL offset (no snapshot).
+	// SIGKILL follower 1 mid-stream, keep writing (the leader and follower 2
+	// still make a quorum), restart it over the same directory: it must
+	// resume from its durable WAL offset (no snapshot).
 	f1.kill()
 	for i := 21; i <= 30; i++ {
 		leader.mustQuery(fmt.Sprintf(`CREATE (:Doc {rev: %d})`, i))
@@ -257,9 +281,9 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 
 	// --- Truncation and snapshot catch-up ------------------------------
-	// Kill follower 2, write more, force a leader checkpoint (truncates the
-	// WAL generation follower 2 is parked in), restart it: the 410 path must
-	// install a whole snapshot.
+	// Kill follower 2, write more, force a checkpoint on the elected leader
+	// (truncates the WAL generation follower 2 is parked in), restart it:
+	// the 410 path must install a whole snapshot.
 	f2.kill()
 	for i := 31; i <= 40; i++ {
 		leader.mustQuery(fmt.Sprintf(`CREATE (:Doc {rev: %d})`, i))
@@ -485,18 +509,7 @@ func TestClusterFailover(t *testing.T) {
 	}
 	bin := buildServe(t)
 
-	addrs := []string{freeAddr(t), freeAddr(t), freeAddr(t)}
-	urls := make([]string, len(addrs))
-	for i, a := range addrs {
-		urls[i] = "http://" + a
-	}
-	peersCSV := strings.Join(urls, ",")
-	nodes := make([]*node, len(addrs))
-	for i := range nodes {
-		nodes[i] = startNode(t, bin, addrs[i], t.TempDir(),
-			"-peers", peersCSV, "-election-timeout", "750ms")
-	}
-
+	nodes := startCluster(t, bin, "750ms")
 	lead1 := waitElectedLeader(t, nodes, 15*time.Second)
 	next := 1
 	acked := commitRevs(t, nodes, &next, 15)
@@ -596,8 +609,9 @@ func TestClusterFailover(t *testing.T) {
 	}
 }
 
-// TestServeFlagValidation covers the role flag matrix without booting a
-// cluster: invalid combinations must exit non-zero with a pointed message.
+// TestServeFlagValidation covers the replication flag matrix without booting
+// a cluster: invalid combinations must exit non-zero with a pointed message,
+// and the flags of the deleted static topology must no longer parse.
 func TestServeFlagValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes; skipped in -short")
@@ -607,19 +621,16 @@ func TestServeFlagValidation(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-role", "leader"}, "requires -data"},
-		{[]string{"-role", "follower", "-data", "x"}, "requires -follow"},
-		{[]string{"-role", "follower"}, "requires -data"},
-		{[]string{"-role", "chief"}, "unknown -role"},
-		{[]string{"-role", "single", "-follow", "http://x"}, "-follow requires -role follower"},
-		{[]string{"-role", "follower", "-data", "x", "-follow", "http://x", "-dataset", "social"}, "-dataset cannot"},
-		{[]string{"-role", "follower", "-data", "x", "-follow", "http://x", "-checkpoint-every", "1m"}, "-checkpoint-every cannot"},
-		{[]string{"-role", "leader", "-data", "x", "-peers", "http://a,http://b"}, "-peers replaces -role"},
-		{[]string{"-follow", "http://a", "-data", "x", "-peers", "http://a,http://b"}, "-peers replaces -follow"},
+		{[]string{"-role", "leader"}, "flag provided but not defined: -role"},
+		{[]string{"-follow", "http://x"}, "flag provided but not defined: -follow"},
+		{[]string{"-heartbeat-timeout", "5s"}, "flag provided but not defined: -heartbeat-timeout"},
+		{[]string{"-heartbeat-interval", "1s"}, "flag provided but not defined: -heartbeat-interval"},
+		{[]string{"-role", "leader", "-data", "x", "-peers", "http://a,http://b"}, "flag provided but not defined: -role"},
+		{[]string{"-follow", "http://a", "-data", "x", "-peers", "http://a,http://b"}, "flag provided but not defined: -follow"},
 		{[]string{"-peers", "http://a,http://b"}, "-peers requires -data"},
 		{[]string{"-peers", "http://a,http://b", "-data", "x", "-dataset", "social"}, "-dataset cannot be used with -peers"},
 		{[]string{"-peers", "http://a,http://b", "-data", "x", "-checkpoint-every", "1m"}, "-checkpoint-every cannot be used with -peers"},
-		{[]string{"-peers", "http://a,http://b", "-data", "x", "-heartbeat-timeout", "5s"}, "-heartbeat-timeout cannot be used with -peers"},
+		{[]string{"-peers", "http://a,http://b", "-data", "x", "-heartbeat-timeout", "5s"}, "flag provided but not defined: -heartbeat-timeout"},
 		{[]string{"-election-timeout", "2s"}, "-election-timeout requires -peers"},
 	}
 	for _, tc := range cases {

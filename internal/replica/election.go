@@ -6,7 +6,7 @@
 //   - Every node persists a monotonic election term (storage.TermRecord)
 //     next to its WAL generation. The term is the cluster's logical clock:
 //     stamped on every stream frame, checked against the fence on every
-//     append and every ApplyReplicated.
+//     append and every ApplyReplicatedTerm.
 //   - The leader's lease is renewed by follower acknowledgements riding the
 //     existing /repl/stream heartbeat channel (every applied entry and every
 //     position heartbeat POSTs /repl/ack back). Lose a quorum of recent acks
@@ -79,14 +79,10 @@ type ClusterConfig struct {
 
 	// ElectionTimeout is the leader-silence threshold before campaigning
 	// (default DefaultElectionTimeout). Actual campaign starts are jittered
-	// to desynchronize simultaneous candidates.
+	// to desynchronize simultaneous candidates. It is also the leader's
+	// lease: how stale the newest quorum of acks may grow before the leader
+	// degrades writes to 503.
 	ElectionTimeout time.Duration
-	// HeartbeatInterval is the leader's idle stream heartbeat (and thus the
-	// ack/lease renewal cadence); default ElectionTimeout/6.
-	HeartbeatInterval time.Duration
-	// LeaderLease is how stale the newest quorum of acks may grow before
-	// the leader degrades writes to 503; default ElectionTimeout.
-	LeaderLease time.Duration
 
 	// Logf logs election and failover events; default log.Printf.
 	Logf func(format string, args ...any)
@@ -108,9 +104,12 @@ type stepdown struct {
 // Cluster runs one node's side of the election protocol. Create with
 // NewCluster, mount Handler under /repl, then Start.
 type Cluster struct {
-	cfg    ClusterConfig
-	peers  []string // excluding self
-	quorum int      // majority of the full member set
+	cfg ClusterConfig
+	// heartbeat is the leader's idle stream heartbeat, and thus the
+	// ack/lease renewal cadence: ElectionTimeout/6.
+	heartbeat time.Duration
+	peers     []string // excluding self
+	quorum    int      // majority of the full member set
 
 	client *http.Client // votes, acks, declares, info probes
 
@@ -152,12 +151,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.ElectionTimeout <= 0 {
 		cfg.ElectionTimeout = DefaultElectionTimeout
 	}
-	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = cfg.ElectionTimeout / 6
-	}
-	if cfg.LeaderLease <= 0 {
-		cfg.LeaderLease = cfg.ElectionTimeout
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
@@ -177,6 +170,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Cluster{
 		cfg:       cfg,
+		heartbeat: cfg.ElectionTimeout / 6,
 		peers:     peers,
 		quorum:    total/2 + 1,
 		client:    &http.Client{Timeout: cfg.ElectionTimeout},
@@ -274,16 +268,6 @@ func (c *Cluster) kick() {
 	}
 }
 
-// heartbeatTimeout is the tailer watchdog threshold: leader silence beyond
-// it triggers a campaign. It must exceed the heartbeat interval by a wide
-// margin so jitter and one lost frame never look like a dead leader.
-func (c *Cluster) heartbeatTimeout() time.Duration {
-	if ht := 4 * c.cfg.HeartbeatInterval; ht > c.cfg.ElectionTimeout {
-		return ht
-	}
-	return c.cfg.ElectionTimeout
-}
-
 // run is the supervisor: a reconciliation loop that compares the desired
 // role/leader state (mutated cheaply by HTTP handlers and callbacks) with
 // the running components (tailer, leader server) and converges them. All
@@ -361,7 +345,7 @@ func (c *Cluster) reconcileFollower() {
 		}
 		return
 	}
-	if silence := time.Since(tailer.LastContact()); silence > c.heartbeatTimeout() {
+	if silence := time.Since(tailer.LastContact()); silence > c.cfg.ElectionTimeout {
 		c.cfg.Logf("replica: no frame from leader %s for %v; campaigning", leader, silence.Round(time.Millisecond))
 		c.mu.Lock()
 		c.leaderURL = ""
@@ -431,8 +415,8 @@ func (c *Cluster) startTailer(leader string) {
 		Leader:           leader,
 		Engine:           c.cfg.Engine,
 		Store:            fs,
-		HeartbeatTimeout: c.heartbeatTimeout(),
-		BackoffMin:       c.cfg.HeartbeatInterval / 4,
+		HeartbeatTimeout: c.cfg.ElectionTimeout,
+		BackoffMin:       c.heartbeat / 4,
 		BackoffMax:       c.cfg.ElectionTimeout / 2,
 		Logf:             c.cfg.Logf,
 		OnAck:            c.sendAck,
@@ -591,9 +575,8 @@ func (c *Cluster) becomeLeader(term uint64) {
 	}
 	c.cfg.Engine.PromoteToWriter(s)
 	c.cfg.Engine.SetFenceTerm(term)
-	l := NewLeader(s, c.cfg.Advertise)
+	l := NewLeader(s, c.cfg.Advertise, c.heartbeat)
 	l.SetTerm(term)
-	l.SetHeartbeatInterval(c.cfg.HeartbeatInterval)
 
 	c.mu.Lock()
 	c.fstore = nil
@@ -682,7 +665,7 @@ func (c *Cluster) checkLease() {
 	need := c.quorum - 1
 	fresh := 0
 	for _, a := range c.acks {
-		if time.Since(a.at) <= c.cfg.LeaderLease {
+		if time.Since(a.at) <= c.cfg.ElectionTimeout {
 			fresh++
 		}
 	}
@@ -836,7 +819,7 @@ func (c *Cluster) Stats() Stats {
 	fs := c.fstore
 	acked := 0
 	for _, a := range c.acks {
-		if time.Since(a.at) <= c.cfg.LeaderLease {
+		if time.Since(a.at) <= c.cfg.ElectionTimeout {
 			acked++
 		}
 	}

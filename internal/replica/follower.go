@@ -31,8 +31,8 @@ type FollowerConfig struct {
 	Store *storage.FollowerStore
 
 	// HeartbeatTimeout declares the stream dead when no frame (entry or
-	// heartbeat) arrives for this long; default 15s. It must exceed the
-	// leader's heartbeat interval by a healthy margin.
+	// heartbeat) arrives for this long. Required (positive); it must exceed
+	// the leader's heartbeat interval by a healthy margin.
 	HeartbeatTimeout time.Duration
 	// VerifyTimeout bounds the governed verification read the follower runs
 	// after installing a snapshot, proving the engine actually serves
@@ -92,9 +92,6 @@ type Follower struct {
 
 // NewFollower creates a follower; call Start to begin tailing.
 func NewFollower(cfg FollowerConfig) *Follower {
-	if cfg.HeartbeatTimeout <= 0 {
-		cfg.HeartbeatTimeout = 15 * time.Second
-	}
 	if cfg.VerifyTimeout == 0 {
 		cfg.VerifyTimeout = 5 * time.Second
 	}

@@ -14,12 +14,6 @@ import (
 	"repro/internal/storage"
 )
 
-// DefaultHeartbeatInterval is how often an idle stream session re-sends the
-// leader's position. It doubles as the follower's liveness signal, so it
-// should stay well under the follower's heartbeat timeout (default 15s).
-// Configurable per leader via SetHeartbeatInterval.
-const DefaultHeartbeatInterval = 2 * time.Second
-
 // streamChunkBytes bounds how much entry payload one ReadEntries call ships
 // before flushing; lag-heavy followers catch up in bounded memory.
 const streamChunkBytes = 1 << 20
@@ -31,12 +25,11 @@ type Leader struct {
 	// advertise is the public base URL followers should send writes to; it
 	// is returned to clients whose writes are rejected by a follower.
 	advertise string
-	// heartbeat is how often an idle stream re-sends the live position
-	// (nanoseconds, read atomically so tests can tune a serving leader).
-	heartbeat atomic.Int64
+	// heartbeat is how often an idle stream re-sends the live position. It
+	// doubles as the followers' liveness signal and lease renewal cadence.
+	heartbeat time.Duration
 	// term is the election term this leader was elected at, stamped on every
-	// stream frame so followers can fence deposed leaders. 0 in legacy
-	// single-leader deployments.
+	// stream frame so followers can fence deposed leaders.
 	term atomic.Uint64
 
 	mu       sync.Mutex
@@ -59,27 +52,12 @@ type session struct {
 }
 
 // NewLeader creates the replication server over an opened store. advertise
-// is the leader's public base URL (e.g. "http://10.0.0.1:7474").
-func NewLeader(store *storage.Store, advertise string) *Leader {
-	l := &Leader{store: store, advertise: advertise, sessions: map[int64]*session{}}
-	l.heartbeat.Store(int64(DefaultHeartbeatInterval))
-	return l
-}
-
-// SetHeartbeatInterval overrides how often idle stream sessions re-send the
-// leader position. It must stay well under the followers' heartbeat timeout
-// or their liveness watchdog will tear down healthy streams. Non-positive
-// values are ignored. Safe to call while sessions are live; running sessions
-// pick the new interval up on their next idle wait.
-func (l *Leader) SetHeartbeatInterval(d time.Duration) {
-	if d > 0 {
-		l.heartbeat.Store(int64(d))
-	}
-}
-
-// HeartbeatInterval reports the current idle-stream heartbeat interval.
-func (l *Leader) HeartbeatInterval() time.Duration {
-	return time.Duration(l.heartbeat.Load())
+// is the leader's public base URL (e.g. "http://10.0.0.1:7474"); heartbeat
+// is how often an idle stream re-sends the leader's position, and must stay
+// well under the followers' heartbeat timeout or their liveness watchdog
+// will tear down healthy streams.
+func NewLeader(store *storage.Store, advertise string, heartbeat time.Duration) *Leader {
+	return &Leader{store: store, advertise: advertise, heartbeat: heartbeat, sessions: map[int64]*session{}}
 }
 
 // Advertise returns the leader's advertised base URL.
@@ -143,7 +121,7 @@ func (l *Leader) handleStream(w http.ResponseWriter, r *http.Request) {
 	extendDeadline := func() {
 		// Ignore errors: the underlying writer may not support deadlines
 		// (httptest recorders), in which case no server timeout exists either.
-		_ = rc.SetWriteDeadline(time.Now().Add(4 * l.HeartbeatInterval()))
+		_ = rc.SetWriteDeadline(time.Now().Add(4 * l.heartbeat))
 	}
 	extendDeadline()
 
@@ -171,7 +149,7 @@ func (l *Leader) handleStream(w http.ResponseWriter, r *http.Request) {
 			case <-ctx.Done():
 				return
 			case <-sig:
-			case <-time.After(l.HeartbeatInterval()):
+			case <-time.After(l.heartbeat):
 			}
 		}
 		sig = l.store.CommitSignal()

@@ -67,7 +67,7 @@ var errBadFrame = errors.New("replica: corrupt or truncated stream frame")
 type wireFrame struct {
 	kind byte
 	// term is the election term stamped by the sending leader (frameEntry
-	// and framePos; 0 in legacy single-leader mode).
+	// and framePos).
 	term uint64
 	// pos: for frameEntry, where the entry starts in the leader's WAL (Seq
 	// unused); for framePos, the leader's live position.

@@ -23,6 +23,10 @@ type testLeader struct {
 	srv    *httptest.Server
 }
 
+// testHeartbeat is the test leaders' idle-stream heartbeat, well under the
+// test followers' 2s heartbeat timeout.
+const testHeartbeat = 500 * time.Millisecond
+
 // newTestLeader boots a leader over dir. wrap, when non-nil, decorates the
 // replication handler (fault injection).
 func newTestLeader(t *testing.T, dir string, wrap func(http.Handler) http.Handler) *testLeader {
@@ -37,7 +41,7 @@ func newTestLeader(t *testing.T, dir string, wrap func(http.Handler) http.Handle
 
 	mux := http.NewServeMux()
 	srv := httptest.NewServer(mux)
-	l := NewLeader(st, srv.URL)
+	l := NewLeader(st, srv.URL, testHeartbeat)
 	var h http.Handler = l.Handler()
 	if wrap != nil {
 		h = wrap(h)

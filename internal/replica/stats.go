@@ -32,8 +32,7 @@ type Stats struct {
 	Role string
 	// State: "serving" on a leader; a State* value on a follower.
 	State string
-	// Term is the node's current election term (0 in legacy single-leader
-	// deployments that never vote).
+	// Term is the node's current election term.
 	Term uint64
 
 	// Local is this node's stream position: the live WAL end on a leader,
